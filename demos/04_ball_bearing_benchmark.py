@@ -7,13 +7,13 @@ two places where the published table is internally inconsistent and this
 package reports recomputed values instead.
 """
 
-from pgduse import FitOptions, compare, fit_mle, load_dataset, ModelKind
+from pgduse import compare, fit_mle, load_dataset, ModelKind
 
 data = load_dataset("lawless")
 print(f"data: {data}")
 print(f"mean failure time: {data.mean:.3f} million revolutions\n")
 
-table = compare(data, opts=FitOptions(seed=0))
+table = compare(data)
 
 header = f"{'model':8s} {'params':34s} {'logL':>10s} {'AIC':>9s} {'BIC':>9s} {'KS':>8s} {'p':>8s}"
 print(header)

@@ -19,17 +19,7 @@ from . import __version__
 from .datasets import load_dataset
 from .distributions import ModelKind, cdf, hazard, pdf, quantile, sample, survival, validate_params
 from .errors import DomainError, PgduseError
-from .estimation import FitOptions, fit_mle
-from .model_selection import (
-    DEFAULT_MODEL_ORDER,
-    ComparisonRow,
-    aic,
-    bic,
-    compare,
-    ecdf,
-    ks_pvalue,
-    ks_statistic,
-)
+from .model_selection import DEFAULT_MODEL_ORDER, ComparisonRow, _fit_row, compare, ecdf
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -100,24 +90,6 @@ def _parse_params(kind: ModelKind, spec: str):
     return validate_params(kind, raw)
 
 
-def _fit_row(kind: ModelKind, data, opts: FitOptions, pvalue_method: str) -> ComparisonRow:
-    fit = fit_mle(kind, data, opts)
-    params = fit.params.as_tuple()
-    d = ks_statistic(data, lambda x: cdf(kind, params, x))
-    return ComparisonRow(
-        kind=kind,
-        params=params,
-        log_likelihood=fit.log_likelihood,
-        aic=aic(fit.log_likelihood, kind.arity),
-        bic=bic(fit.log_likelihood, kind.arity, data.n),
-        ks_d=d,
-        p_value=ks_pvalue(d, data.n, pvalue_method),
-        param_count=kind.arity,
-        converged=fit.converged,
-        fit=fit,
-    )
-
-
 def _row_record(row: ComparisonRow) -> dict:
     return {
         "model": row.kind.value,
@@ -149,7 +121,7 @@ def _row_cells(row: ComparisonRow) -> list:
 def cmd_fit(config) -> int:
     data = load_dataset(config.data)
     kind = ModelKind.parse(config.model)
-    row = _fit_row(kind, data, _fit_options(config), config.pvalue_method)
+    row = _fit_row(kind, data, pvalue_method=config.pvalue_method)
     _emit(config, _ROW_HEADERS, [_row_cells(row)], _row_record(row))
     return _EXIT_OK if row.converged else _EXIT_NONCONVERGED
 
@@ -161,7 +133,7 @@ def cmd_compare(config) -> int:
         if config.models
         else list(DEFAULT_MODEL_ORDER)
     )
-    table = compare(data, kinds, _fit_options(config), config.pvalue_method)
+    table = compare(data, kinds, pvalue_method=config.pvalue_method)
     payload = {
         "n": table.n,
         "ranking": "aic ascending",
@@ -209,7 +181,6 @@ def cmd_sample(config) -> int:
 
 def cmd_plotdata(config) -> int:
     data = load_dataset(config.data)
-    opts = _fit_options(config)
     if config.params:
         if not config.model:
             raise DomainError("--params requires --model")
@@ -222,7 +193,7 @@ def cmd_plotdata(config) -> int:
             if config.models
             else list(DEFAULT_MODEL_ORDER)
         )
-        table = compare(data, kinds, opts, config.pvalue_method)
+        table = compare(data, kinds, pvalue_method=config.pvalue_method)
         fitted = {row.kind: row.params for row in table.rows}
         best_kind = table.best().kind
     top = float(quantile(best_kind, fitted[best_kind], config.grid_quantile))
@@ -254,14 +225,9 @@ def cmd_plotdata(config) -> int:
     return _EXIT_OK
 
 
-def _fit_options(config) -> FitOptions:
-    return FitOptions(seed=config.seed)
-
-
 def _add_common(parser, data=False, model=False, models=False, params=False):
     parser.add_argument("--format", choices=["table", "csv", "json"], default="table")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--pvalue-method", choices=["exact", "asymptotic"], default="asymptotic"
     )
@@ -315,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw reproducible random variates")
     _add_common(p_sample, model="required", params="required")
     p_sample.add_argument("--n", type=int, required=True)
+    p_sample.add_argument("--seed", type=int, default=0)
     p_sample.set_defaults(func=cmd_sample)
 
     p_plot = sub.add_parser("plotdata", help="emit density/hazard/ecdf plot grids")

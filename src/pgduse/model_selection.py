@@ -211,6 +211,30 @@ _BIC_FOOTNOTE = (
 )
 
 
+def _fit_row(
+    kind: ModelKind,
+    data: Dataset,
+    opts: FitOptions = FitOptions(),
+    pvalue_method: str = "asymptotic",
+) -> ComparisonRow:
+    """Fit one model and attach its criteria, KS distance and p-value."""
+    fit = fit_mle(kind, data, opts)
+    params = fit.params.as_tuple()
+    d = ks_statistic(data, lambda x: cdf(kind, params, x))
+    return ComparisonRow(
+        kind=kind,
+        params=params,
+        log_likelihood=fit.log_likelihood,
+        aic=aic(fit.log_likelihood, kind.arity),
+        bic=bic(fit.log_likelihood, kind.arity, data.n),
+        ks_d=d,
+        p_value=ks_pvalue(d, data.n, pvalue_method),
+        param_count=kind.arity,
+        converged=fit.converged,
+        fit=fit,
+    )
+
+
 def compare(
     data: Dataset,
     kinds: Sequence[ModelKind] = DEFAULT_MODEL_ORDER,
@@ -224,26 +248,8 @@ def compare(
     kinds = tuple(kinds)
     if not kinds:
         raise DomainError("compare needs at least one model kind")
-    rows = []
-    for kind in kinds:
-        fit = fit_mle(kind, data, opts)
-        params = fit.params.as_tuple()
-        d = ks_statistic(data, lambda x, k=kind, q=params: cdf(k, q, x))
-        rows.append(
-            ComparisonRow(
-                kind=kind,
-                params=params,
-                log_likelihood=fit.log_likelihood,
-                aic=aic(fit.log_likelihood, kind.arity),
-                bic=bic(fit.log_likelihood, kind.arity, data.n),
-                ks_d=d,
-                p_value=ks_pvalue(d, data.n, pvalue_method),
-                param_count=kind.arity,
-                converged=fit.converged,
-                fit=fit,
-            )
-        )
-    rows.sort(key=lambda row: row.aic)
+    rows = sorted((_fit_row(kind, data, opts, pvalue_method) for kind in kinds),
+                  key=lambda row: row.aic)
     footnotes = []
     if any(row.kind is ModelKind.DUSE for row in rows):
         footnotes.append(_DUSE_FOOTNOTE)

@@ -1,6 +1,6 @@
 import pytest
 
-from pgduse import FitOptions, ModelKind, compare, load_dataset
+from pgduse import ModelKind, compare, load_dataset
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +11,7 @@ def lawless():
 @pytest.fixture(scope="session")
 def lawless_table(lawless):
     """All five models fitted once and shared across the suite."""
-    return compare(lawless, opts=FitOptions(seed=0))
+    return compare(lawless)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ import pytest
 
 from pgduse import (
     Dataset,
-    FitOptions,
     ModelKind,
     PgduseParams,
     QuadFailure,
@@ -307,7 +306,7 @@ def test_criterion_8_property_suite(lawless):
 def test_criterion_9_self_consistency():
     true = PgduseParams(0.05, 3.0)
     xs = sample(ModelKind.PGDUSE, true, 5000, seed=42)
-    fit = fit_mle(ModelKind.PGDUSE, Dataset(xs), FitOptions(seed=42))
+    fit = fit_mle(ModelKind.PGDUSE, Dataset(xs))
     lam, theta = fit.params.as_tuple()
 
     big = sample(ModelKind.PGDUSE, (1.0, 2.0), 10000, seed=99)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import pgduse.estimation
 from pgduse import (
     Dataset,
     FitOptions,
     ModelKind,
     PgduseParams,
+    compare,
     fit_ed_closed_form,
     fit_mle,
     log_likelihood,
@@ -16,6 +18,14 @@ from pgduse import (
 )
 
 E = math.e
+# generating parameters near each model's fit to the bearing data
+GENERATORS = {
+    ModelKind.PGDUSE: (0.0336, 3.807),
+    ModelKind.GDUSE: (4.739, 0.0355),
+    ModelKind.DUSE: (0.01824,),
+    ModelKind.KME: (0.009545,),
+    ModelKind.ED: (0.013843,),
+}
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +86,24 @@ def test_score_matches_central_differences(lawless):
     assert np.max(np.abs(fd - analytic) / np.abs(analytic)) < 1e-6
 
 
+@pytest.mark.parametrize("kind", list(GENERATORS), ids=lambda k: k.value)
+def test_every_model_score_matches_central_differences(lawless, kind):
+    # 0.8 x the generator keeps every component away from its zero
+    params = tuple(0.8 * v for v in GENERATORS[kind])
+    analytic = pgduse.estimation._score(kind, params, lawless)
+    fd = np.empty(len(params))
+    for j, value in enumerate(params):
+        step = 1e-6 * value
+        hi = list(params)
+        lo = list(params)
+        hi[j] = value + step
+        lo[j] = value - step
+        fd[j] = (
+            log_likelihood(kind, hi, lawless) - log_likelihood(kind, lo, lawless)
+        ) / (2.0 * step)
+    assert np.max(np.abs(fd - analytic) / np.abs(analytic)) < 1e-6
+
+
 # ----------------------------------------------------------------------
 # fitting
 # ----------------------------------------------------------------------
@@ -127,27 +155,27 @@ def test_fit_kme_reproduces_benchmark(lawless):
 
 
 def test_fit_is_deterministic(lawless):
-    a = fit_mle(ModelKind.PGDUSE, lawless, FitOptions(seed=7))
-    b = fit_mle(ModelKind.PGDUSE, lawless, FitOptions(seed=7))
+    a = fit_mle(ModelKind.PGDUSE, lawless)
+    b = fit_mle(ModelKind.PGDUSE, lawless)
     assert a.params.as_tuple() == b.params.as_tuple()
-    assert a.start_used == b.start_used
+    assert a.iterations == b.iterations
 
 
 def test_fit_positivity_under_jitter():
     # heavily skewed tiny sample; log-space search keeps params positive
     data = Dataset([1e-4, 2e-4, 5.0, 80.0])
     for kind in ModelKind:
-        result = fit_mle(kind, data, FitOptions(starts=6, seed=3))
+        result = fit_mle(kind, data)
         assert all(v > 0.0 for v in result.params.as_tuple())
 
 
 def test_single_observation_accepted():
-    result = fit_mle(ModelKind.PGDUSE, Dataset([5.0]), FitOptions(starts=2, seed=1))
+    result = fit_mle(ModelKind.PGDUSE, Dataset([5.0]))
     assert all(v > 0.0 for v in result.params.as_tuple())
 
 
 def test_flagged_not_converged_when_budget_exhausted(lawless):
-    result = fit_mle(ModelKind.PGDUSE, lawless, FitOptions(starts=1, max_iters=2))
+    result = fit_mle(ModelKind.PGDUSE, lawless, FitOptions(max_iters=2))
     assert not result.converged
     assert all(v > 0.0 for v in result.params.as_tuple())  # still best-found
 
@@ -161,8 +189,69 @@ def test_pgduse_dominates_duse(lawless):
 def test_synthetic_recovery_within_ten_percent():
     true = PgduseParams(0.05, 3.0)
     xs = sample(ModelKind.PGDUSE, true, 5000, seed=42)
-    result = fit_mle(ModelKind.PGDUSE, Dataset(xs), FitOptions(seed=42))
+    result = fit_mle(ModelKind.PGDUSE, Dataset(xs))
     lam, theta = result.params.as_tuple()
     assert result.converged
     assert abs(lam - 0.05) / 0.05 < 0.10
     assert abs(theta - 3.0) / 3.0 < 0.10
+
+
+# ----------------------------------------------------------------------
+# profile-likelihood search
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [23, 100, 1000])
+@pytest.mark.parametrize("kind", list(GENERATORS), ids=lambda k: k.value)
+def test_seeded_sweep_reaches_the_maximum(kind, n):
+    truth = GENERATORS[kind]
+    for seed in (1, 2, 3):
+        data = Dataset(sample(kind, truth, n, seed=seed))
+        rows = {row.kind: row for row in compare(data).rows}
+        assert all(row.converged for row in rows.values())
+        assert rows[kind].log_likelihood >= log_likelihood(kind, truth, data)
+        assert rows[ModelKind.PGDUSE].log_likelihood >= rows[ModelKind.DUSE].log_likelihood
+
+
+def test_log_likelihood_calls_per_fit_capped(lawless, monkeypatch):
+    # the search evaluates log_likelihood through its module, so a wrapper
+    # installed there sees every evaluation, not just the final one
+    calls = []
+    original = pgduse.estimation.log_likelihood
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgduse.estimation, "log_likelihood", counting)
+    synthetic = Dataset(sample(ModelKind.PGDUSE, GENERATORS[ModelKind.PGDUSE], 1000, seed=5))
+    for data in (lawless, synthetic):
+        for kind in ModelKind:
+            calls.clear()
+            assert fit_mle(kind, data).converged
+            if kind is ModelKind.ED:
+                assert len(calls) == 1
+            else:
+                assert 1 < len(calls) <= 60
+
+
+def test_degenerate_sample_is_not_certified():
+    # with every observation equal the PGDUSE and GDUSE likelihoods grow
+    # without bound in the rate; the search must stop without raising
+    for data in (Dataset([5.0]), Dataset([3.0, 3.0, 3.0])):
+        for kind in (ModelKind.PGDUSE, ModelKind.GDUSE):
+            result = fit_mle(kind, data)
+            assert not result.converged
+            assert all(0.0 < v < math.inf for v in result.params.as_tuple())
+
+
+def test_large_sample_pgduse_fit_converges():
+    # a sample on which one start of the former 8-start simplex search
+    # ran to its evaluation limit and reported converged = False
+    truth = GENERATORS[ModelKind.PGDUSE]
+    data = Dataset(sample(ModelKind.PGDUSE, truth, 100_000, seed=1))
+    result = fit_mle(ModelKind.PGDUSE, data)
+    assert result.converged
+    assert result.log_likelihood >= log_likelihood(ModelKind.PGDUSE, truth, data)
+    lam, theta = result.params.as_tuple()
+    assert abs(lam - truth[0]) / truth[0] < 0.02
+    assert abs(theta - truth[1]) / truth[1] < 0.02

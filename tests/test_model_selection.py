@@ -7,7 +7,6 @@ from scipy.stats import kstwo
 from pgduse import (
     Dataset,
     DomainError,
-    FitOptions,
     ModelKind,
     aic,
     bic,
