@@ -50,7 +50,6 @@ from .errors import (
     DomainError,
     EmptyDataset,
     LogOfZero,
-    NonConvergence,
     NonPositiveObservation,
     NonPositiveParameter,
     ParseError,

@@ -37,6 +37,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, zeta
 
 from .distributions import (
+    _MODELS,
     ModelKind,
     PgduseParams,
     _coerce,
@@ -390,15 +391,6 @@ def cgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> com
 # Renyi entropy
 # ----------------------------------------------------------------------
 
-def _density_edge_exponent(kind: ModelKind, params) -> float:
-    """Power of x in the density as x -> 0 (negative means a singularity)."""
-    if kind is ModelKind.PGDUSE:
-        return params[1] - 1.0
-    if kind is ModelKind.GDUSE:
-        return params[0] - 1.0
-    return 0.0
-
-
 def renyi_entropy(
     kind: ModelKind, p, delta: float, opts: QuadOptions = QuadOptions()
 ) -> float:
@@ -413,12 +405,12 @@ def renyi_entropy(
     if delta <= 0.0 or delta == 1.0:
         raise DomainError(f"Renyi order must be positive and != 1, got {delta!r}")
     params = _coerce(kind, p)
-    if delta * _density_edge_exponent(kind, params) <= -1.0:
+    model = _MODELS[kind]
+    if delta * model.edge_exponent(params) <= -1.0:
         raise QuadFailure(
             f"pdf**{delta:g} is not integrable at 0 for {kind.value} with these parameters"
         )
-    rate = params[1] if kind is ModelKind.GDUSE else params[0]
-    top = _upper_limit(kind, params, rate, margin_rate=min(delta, 1.0))
+    top = _upper_limit(kind, params, params[model.rate_index], margin_rate=min(delta, 1.0))
 
     def integrand(x):
         return pdf(kind, params, x) ** delta

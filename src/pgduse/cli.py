@@ -126,14 +126,15 @@ def cmd_fit(config) -> int:
     return _EXIT_OK if row.converged else _EXIT_NONCONVERGED
 
 
+def _parse_models(config) -> list:
+    if not config.models:
+        return list(DEFAULT_MODEL_ORDER)
+    return [ModelKind.parse(tok) for tok in config.models]
+
+
 def cmd_compare(config) -> int:
     data = load_dataset(config.data)
-    kinds = (
-        [ModelKind.parse(tok) for tok in config.models]
-        if config.models
-        else list(DEFAULT_MODEL_ORDER)
-    )
-    table = compare(data, kinds, pvalue_method=config.pvalue_method)
+    table = compare(data, _parse_models(config), pvalue_method=config.pvalue_method)
     payload = {
         "n": table.n,
         "ranking": "aic ascending",
@@ -188,12 +189,7 @@ def cmd_plotdata(config) -> int:
         fitted = {kind: _parse_params(kind, config.params).as_tuple()}
         best_kind = kind
     else:
-        kinds = (
-            [ModelKind.parse(tok) for tok in config.models]
-            if config.models
-            else list(DEFAULT_MODEL_ORDER)
-        )
-        table = compare(data, kinds, pvalue_method=config.pvalue_method)
+        table = compare(data, _parse_models(config))
         fitted = {row.kind: row.params for row in table.rows}
         best_kind = table.best().kind
     top = float(quantile(best_kind, fitted[best_kind], config.grid_quantile))
@@ -225,12 +221,15 @@ def cmd_plotdata(config) -> int:
     return _EXIT_OK
 
 
-def _add_common(parser, data=False, model=False, models=False, params=False):
-    parser.add_argument("--format", choices=["table", "csv", "json"], default="table")
+def _add_common(parser, data=False, model=False, models=False, params=False,
+                formats=False, pvalues=False):
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument(
-        "--pvalue-method", choices=["exact", "asymptotic"], default="asymptotic"
-    )
+    if formats:
+        parser.add_argument("--format", choices=["table", "csv", "json"], default="table")
+    if pvalues:
+        parser.add_argument(
+            "--pvalue-method", choices=["exact", "asymptotic"], default="asymptotic"
+        )
     if data:
         parser.add_argument(
             "--data", required=True, help="builtin name ('lawless') or a text file path"
@@ -262,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit one model by maximum likelihood")
-    _add_common(p_fit, data=True, model="required")
+    _add_common(p_fit, data=True, model="required", formats=True, pvalues=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_cmp = sub.add_parser("compare", help="fit several models and rank them")
-    _add_common(p_cmp, data=True, models=True)
+    _add_common(p_cmp, data=True, models=True, formats=True, pvalues=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_eval = sub.add_parser("eval", help="evaluate a distribution function pointwise")
-    _add_common(p_eval, model="required", params="required")
+    _add_common(p_eval, model="required", params="required", formats=True)
     p_eval.add_argument("--fn", choices=sorted(_EVAL_FUNCTIONS), required=True)
     p_eval.add_argument(
         "--at", action="append", required=True,

@@ -12,6 +12,11 @@ KME     (e / (e - 1)) * (1 - exp(-(1 - exp(-theta*x))))             theta
 ED      1 - exp(-theta*x)                                           theta
 ======  ==========================================================  ======
 
+Each model is one record in ``_MODELS``: its parameter names and class,
+the position of its rate, the power of x in its density at the origin,
+and its cdf, survival, log-density and quantile kernels.  The public
+functions below look the record up and share one evaluation path.
+
 Every function here is pure and accepts scalar or array-like evaluation
 points, returning a ``float`` for scalar input and an ``ndarray`` otherwise.
 Values of x below 0 follow the plotting-friendly convention cdf = 0,
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -71,11 +76,11 @@ class ModelKind(Enum):
 
     @property
     def arity(self) -> int:
-        return 2 if self in (ModelKind.PGDUSE, ModelKind.GDUSE) else 1
+        return len(self.param_names)
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return _PARAM_NAMES[self]
+        return _MODELS[self].param_names
 
     @classmethod
     def parse(cls, name: str) -> "ModelKind":
@@ -84,15 +89,6 @@ class ModelKind(Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise DomainError(f"unknown model {name!r}; expected one of: {valid}") from None
-
-
-_PARAM_NAMES = {
-    ModelKind.PGDUSE: ("lambda", "theta"),
-    ModelKind.GDUSE: ("alpha", "beta"),
-    ModelKind.DUSE: ("a",),
-    ModelKind.KME: ("theta",),
-    ModelKind.ED: ("theta",),
-}
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -147,14 +143,6 @@ class ScalarParam:
 
 ParamVector = Union[PgduseParams, GduseParams, ScalarParam]
 
-_PARAM_CLASS = {
-    ModelKind.PGDUSE: PgduseParams,
-    ModelKind.GDUSE: GduseParams,
-    ModelKind.DUSE: ScalarParam,
-    ModelKind.KME: ScalarParam,
-    ModelKind.ED: ScalarParam,
-}
-
 
 def validate_params(kind: ModelKind, raw: Sequence[float]) -> ParamVector:
     """Build a typed, positivity-checked parameter vector for ``kind``.
@@ -171,13 +159,13 @@ def validate_params(kind: ModelKind, raw: Sequence[float]) -> ParamVector:
         raise ArityMismatch(
             f"{kind.value} takes {kind.arity} parameter(s), got {len(raw)}"
         )
-    return _PARAM_CLASS[kind](*raw)
+    return _MODELS[kind].param_class(*raw)
 
 
 def _coerce(kind: ModelKind, p) -> tuple[float, ...]:
     """Accept either a typed parameter vector or a raw sequence."""
     if isinstance(p, (PgduseParams, GduseParams, ScalarParam)):
-        expected = _PARAM_CLASS[kind]
+        expected = _MODELS[kind].param_class
         if not isinstance(p, expected):
             raise ArityMismatch(
                 f"{kind.value} expects {expected.__name__}, got {type(p).__name__}"
@@ -238,8 +226,14 @@ class Dataset:
 # stable building blocks
 # ----------------------------------------------------------------------
 
+def _log_f(rate: float, x: np.ndarray) -> np.ndarray:
+    """log F = log(1 - exp(-rate*x)) of the exponential baseline; -inf at 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(-np.expm1(-rate * x))
+
+
 def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
-    """log((exp(1 - exp(-lam*x)) - 1) / (e - 1)), accurate at both tails.
+    """log G1 = log((exp(1 - exp(-lam*x)) - 1) / (e - 1)), accurate at both tails.
 
     Below t = 1 - exp(-lam*x) = 1/2 the direct log(expm1(t)) keeps the
     x -> 0 behaviour exact; above it the ratio is rewritten as
@@ -259,9 +253,17 @@ def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pg_log_em1(lam: float, x: np.ndarray) -> np.ndarray:
-    """log(exp(1 - exp(-lam*x)) - 1); the repeated log-likelihood term."""
-    return _pg_log_ratio(lam, x) + _LOG_EM1
+def _gduse_log_ratio(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """log G for GDUSE, branched at F**alpha = 1/2 like _pg_log_ratio."""
+    log_fa = alpha * _log_f(beta, x)  # log(F**alpha)
+    out = np.empty_like(log_fa)
+    small = log_fa < -math.log(2.0)
+    with np.errstate(divide="ignore"):
+        out[small] = np.log(np.expm1(np.exp(log_fa[small]))) - _LOG_EM1
+    big = ~small
+    z = _E * np.expm1(np.expm1(log_fa[big])) / _EM1
+    out[big] = np.log1p(np.maximum(z, -1.0))
+    return out
 
 
 def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
@@ -274,98 +276,137 @@ def _wrap_output(values: np.ndarray, scalar: bool):
 
 
 # ----------------------------------------------------------------------
-# per-model kernels (x restricted to >= 0 by the dispatchers)
+# per-model kernels: f(params, x) with x >= 0 (q in [0, 1) for quantiles)
 # ----------------------------------------------------------------------
 
-def _cdf_kernel(kind: ModelKind, params: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    if kind is ModelKind.PGDUSE or kind is ModelKind.DUSE:
-        lam, theta = params if kind is ModelKind.PGDUSE else (params[0], 1.0)
-        with np.errstate(over="ignore"):
-            return np.exp(theta * _pg_log_ratio(lam, x))
-    if kind is ModelKind.GDUSE:
-        alpha, beta = params
-        return np.exp(_gduse_log_ratio(alpha, beta, x))
-    if kind is ModelKind.KME:
-        (theta,) = params
-        # 1 - G = expm1(exp(-theta x))/(e-1); the complement below stays
-        # accurate for small x where G itself is tiny
-        fm = np.expm1(-theta * x)  # = exp(-theta x) - 1 = -F
-        return -_E * np.expm1(fm) / _EM1
-    (theta,) = params  # ED
-    return -np.expm1(-theta * x)
+def _pg_cdf(params, x):
+    lam, theta = params
+    with np.errstate(over="ignore"):
+        return np.exp(theta * _pg_log_ratio(lam, x))
 
 
-def _gduse_log_ratio(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """log G for GDUSE, branched at F**alpha = 1/2 like _pg_log_ratio."""
-    with np.errstate(divide="ignore"):
-        log_fa = alpha * np.log(-np.expm1(-beta * x))  # log(F**alpha)
-    out = np.empty_like(log_fa)
-    small = log_fa < -math.log(2.0)
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(np.expm1(np.exp(log_fa[small]))) - _LOG_EM1
-    big = ~small
-    z = _E * np.expm1(np.expm1(log_fa[big])) / _EM1
-    out[big] = np.log1p(np.maximum(z, -1.0))
+def _pg_sf(params, x):
+    lam, theta = params
+    return -np.expm1(theta * _pg_log_ratio(lam, x))
+
+
+def _pg_log_pdf(params, x):
+    lam, theta = params
+    # log of theta * G1**(theta-1) * G1'.  Only log G1 is scaled, by
+    # theta - 1, so no two large terms cancel at large theta
+    out = math.log(theta) + math.log(lam) - _LOG_EM1 + 1.0 - lam * x - np.exp(-lam * x)
+    if theta != 1.0:
+        # (theta-1)*(-inf) at x=0 encodes the 0 / +inf density limit
+        out = out + (theta - 1.0) * _pg_log_ratio(lam, x)
     return out
 
 
-def _survival_kernel(kind: ModelKind, params: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    if kind is ModelKind.PGDUSE or kind is ModelKind.DUSE:
-        lam, theta = params if kind is ModelKind.PGDUSE else (params[0], 1.0)
-        return -np.expm1(theta * _pg_log_ratio(lam, x))
-    if kind is ModelKind.GDUSE:
-        alpha, beta = params
-        return -np.expm1(_gduse_log_ratio(alpha, beta, x))
-    if kind is ModelKind.KME:
-        (theta,) = params
-        return np.expm1(np.exp(-theta * x)) / _EM1
-    (theta,) = params  # ED
-    return np.exp(-theta * x)
+def _pg_quantile(params, q):
+    lam, theta = params
+    w = np.log1p(np.power(q, 1.0 / theta) * _EM1)
+    return -np.log1p(-w) / lam
 
 
-def _log_pdf_kernel(kind: ModelKind, params: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    if kind is ModelKind.PGDUSE or kind is ModelKind.DUSE:
-        lam, theta = params if kind is ModelKind.PGDUSE else (params[0], 1.0)
-        d = np.exp(-lam * x)
-        out = math.log(theta) + math.log(lam) - theta * _LOG_EM1 + 1.0 - lam * x - d
-        if theta != 1.0:
-            # (theta-1)*(-inf) at x=0 encodes the 0 / +inf density limit
-            out = out + (theta - 1.0) * _pg_log_em1(lam, x)
-        return out
-    if kind is ModelKind.GDUSE:
-        alpha, beta = params
-        with np.errstate(divide="ignore"):
-            log_f = np.log(-np.expm1(-beta * x))
-        fa = np.exp(alpha * log_f)
-        out = math.log(alpha) + math.log(beta) - _LOG_EM1 - beta * x + fa
-        if alpha != 1.0:
-            out = out + (alpha - 1.0) * log_f
-        return out
-    if kind is ModelKind.KME:
-        (theta,) = params
-        return 1.0 - _LOG_EM1 + math.log(theta) - theta * x + np.expm1(-theta * x)
-    (theta,) = params  # ED
-    return math.log(theta) - theta * x
+def _unit_shape(pg_kernel):
+    """The DUSE kernel: ``pg_kernel`` at theta = 1."""
+    return lambda params, x: pg_kernel((params[0], 1.0), x)
 
 
-def _quantile_kernel(kind: ModelKind, params: tuple[float, ...], q: np.ndarray) -> np.ndarray:
-    # q within an ulp of 1 saturates to inf through log1p(-1); that is the
-    # correct limit, so the divide warning is noise
-    if kind is ModelKind.PGDUSE or kind is ModelKind.DUSE:
-        lam, theta = params if kind is ModelKind.PGDUSE else (params[0], 1.0)
-        w = np.log1p(np.power(q, 1.0 / theta) * _EM1)
-        return -np.log1p(-w) / lam
-    if kind is ModelKind.GDUSE:
-        alpha, beta = params
-        w = np.log1p(q * _EM1)
-        f = np.power(w, 1.0 / alpha)
-        return -np.log1p(-f) / beta
-    if kind is ModelKind.KME:
-        (theta,) = params
-        f = -np.log1p(-q * _EM1 / _E)
-        return -np.log1p(-f) / theta
-    (theta,) = params  # ED
-    return -np.log1p(-q) / theta
+def _gduse_log_pdf(params, x):
+    alpha, beta = params
+    log_f = _log_f(beta, x)
+    fa = np.exp(alpha * log_f)
+    out = math.log(alpha) + math.log(beta) - _LOG_EM1 - beta * x + fa
+    if alpha != 1.0:
+        out = out + (alpha - 1.0) * log_f
+    return out
+
+
+def _gduse_quantile(params, q):
+    alpha, beta = params
+    w = np.log1p(q * _EM1)
+    f = np.power(w, 1.0 / alpha)
+    return -np.log1p(-f) / beta
+
+
+_Kernel = Callable[[tuple, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Model:
+    """One model: its parameters and its kernels, each written once."""
+
+    param_names: tuple[str, ...]
+    param_class: type
+    rate_index: int
+    # power of x in the density as x -> 0 (negative means a singularity)
+    edge_exponent: Callable[[tuple], float]
+    cdf: _Kernel
+    sf: _Kernel
+    log_pdf: _Kernel
+    quantile: _Kernel
+
+    def pdf(self, params, x):
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_pdf(params, x))
+
+
+def _flat_edge(params) -> float:
+    return 0.0
+
+
+_MODELS = {
+    ModelKind.PGDUSE: _Model(
+        ("lambda", "theta"), PgduseParams, 0, lambda p: p[1] - 1.0,
+        cdf=_pg_cdf, sf=_pg_sf, log_pdf=_pg_log_pdf, quantile=_pg_quantile,
+    ),
+    ModelKind.GDUSE: _Model(
+        ("alpha", "beta"), GduseParams, 1, lambda p: p[0] - 1.0,
+        cdf=lambda p, x: np.exp(_gduse_log_ratio(*p, x)),
+        sf=lambda p, x: -np.expm1(_gduse_log_ratio(*p, x)),
+        log_pdf=_gduse_log_pdf,
+        quantile=_gduse_quantile,
+    ),
+    ModelKind.DUSE: _Model(
+        ("a",), ScalarParam, 0, _flat_edge,
+        *map(_unit_shape, (_pg_cdf, _pg_sf, _pg_log_pdf, _pg_quantile)),
+    ),
+    # KME: 1 - G = expm1(exp(-theta x))/(e-1); the cdf is written through
+    # expm1(-theta x) = -F so it stays accurate for small x where G is tiny
+    ModelKind.KME: _Model(
+        ("theta",), ScalarParam, 0, _flat_edge,
+        cdf=lambda p, x: -_E * np.expm1(np.expm1(-p[0] * x)) / _EM1,
+        sf=lambda p, x: np.expm1(np.exp(-p[0] * x)) / _EM1,
+        log_pdf=lambda p, x: 1.0 - _LOG_EM1 + math.log(p[0]) - p[0] * x + np.expm1(-p[0] * x),
+        quantile=lambda p, q: -np.log1p(np.log1p(-q * _EM1 / _E)) / p[0],
+    ),
+    ModelKind.ED: _Model(
+        ("theta",), ScalarParam, 0, _flat_edge,
+        cdf=lambda p, x: -np.expm1(-p[0] * x),
+        sf=lambda p, x: np.exp(-p[0] * x),
+        log_pdf=lambda p, x: math.log(p[0]) - p[0] * x,
+        quantile=lambda p, q: -np.log1p(-q) / p[0],
+    ),
+}
+
+
+def _on_support(kernel: _Kernel, params, arr: np.ndarray, fill: float, closed: bool):
+    """``kernel`` on x > 0 (x >= 0 if ``closed``), ``fill`` below, NaN kept."""
+    out = np.full_like(arr, fill)
+    keep = arr >= 0.0 if closed else arr > 0.0
+    if np.any(keep):
+        out[keep] = kernel(params, arr[keep])
+    out[np.isnan(arr)] = np.nan
+    return out
+
+
+def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
+              closed: bool = False, clip: bool = False):
+    """The public path: validate, evaluate one kernel of the record, wrap."""
+    params = _coerce(kind, p)
+    arr, scalar = _split_input(x)
+    out = _on_support(getattr(_MODELS[kind], kernel_name), params, arr, fill, closed)
+    return _wrap_output(np.clip(out, 0.0, 1.0) if clip else out, scalar)
 
 
 # ----------------------------------------------------------------------
@@ -383,14 +424,7 @@ def cdf(kind: ModelKind, p, x: ArrayLike):
     x : float or array-like
         Evaluation points; values below 0 return 0 by convention.
     """
-    params = _coerce(kind, p)
-    arr, scalar = _split_input(x)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if np.any(pos):
-        out[pos] = _cdf_kernel(kind, params, arr[pos])
-    out[np.isnan(arr)] = np.nan
-    return _wrap_output(np.clip(out, 0.0, 1.0), scalar)
+    return _evaluate(kind, p, x, "cdf", 0.0, clip=True)
 
 
 def pdf(kind: ModelKind, p, x: ArrayLike):
@@ -400,15 +434,7 @@ def pdf(kind: ModelKind, p, x: ArrayLike):
     For shape parameters below 1 the density diverges at x = 0; the
     integrable singularity is reported as ``inf`` rather than an error.
     """
-    params = _coerce(kind, p)
-    arr, scalar = _split_input(x)
-    out = np.zeros_like(arr)
-    nonneg = arr >= 0.0
-    if np.any(nonneg):
-        with np.errstate(over="ignore"):
-            out[nonneg] = np.exp(_log_pdf_kernel(kind, params, arr[nonneg]))
-    out[np.isnan(arr)] = np.nan
-    return _wrap_output(out, scalar)
+    return _evaluate(kind, p, x, "pdf", 0.0, closed=True)
 
 
 def log_pdf(kind: ModelKind, p, x: ArrayLike):
@@ -416,26 +442,12 @@ def log_pdf(kind: ModelKind, p, x: ArrayLike):
 
     Returns -inf wherever the density is zero (including x < 0).
     """
-    params = _coerce(kind, p)
-    arr, scalar = _split_input(x)
-    out = np.full_like(arr, -np.inf)
-    nonneg = arr >= 0.0
-    if np.any(nonneg):
-        out[nonneg] = _log_pdf_kernel(kind, params, arr[nonneg])
-    out[np.isnan(arr)] = np.nan
-    return _wrap_output(out, scalar)
+    return _evaluate(kind, p, x, "log_pdf", -np.inf, closed=True)
 
 
 def survival(kind: ModelKind, p, x: ArrayLike):
     """Survival function 1 - cdf, kept accurate where the cdf is near 1."""
-    params = _coerce(kind, p)
-    arr, scalar = _split_input(x)
-    out = np.ones_like(arr)
-    pos = arr > 0.0
-    if np.any(pos):
-        out[pos] = _survival_kernel(kind, params, arr[pos])
-    out[np.isnan(arr)] = np.nan
-    return _wrap_output(np.clip(out, 0.0, 1.0), scalar)
+    return _evaluate(kind, p, x, "sf", 1.0, clip=True)
 
 
 def hazard(kind: ModelKind, p, x: ArrayLike):
@@ -445,9 +457,10 @@ def hazard(kind: ModelKind, p, x: ArrayLike):
     reported as ``inf``.
     """
     params = _coerce(kind, p)
+    model = _MODELS[kind]
     arr, scalar = _split_input(x)
-    g = np.atleast_1d(np.asarray(pdf(kind, params, arr)))
-    s = np.atleast_1d(np.asarray(survival(kind, params, arr)))
+    g = _on_support(model.pdf, params, arr, 0.0, closed=True)
+    s = np.clip(_on_support(model.sf, params, arr, 1.0, closed=False), 0.0, 1.0)
     out = np.empty_like(g)
     dead = s == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -469,8 +482,10 @@ def quantile(kind: ModelKind, p, q: ArrayLike):
     if not np.all(valid):
         bad = float(arr[~valid][0])
         raise DomainError(f"quantile requires 0 <= q < 1, got {bad!r}")
+    # q within an ulp of 1 saturates to inf through log1p(-1); that is the
+    # correct limit, so the divide warning is noise
     with np.errstate(divide="ignore"):
-        out = _quantile_kernel(kind, params, arr)
+        out = _MODELS[kind].quantile(params, arr)
     out[arr == 0.0] = 0.0
     return _wrap_output(out, scalar)
 

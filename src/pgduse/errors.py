@@ -29,10 +29,6 @@ class LogOfZero(PgduseError, ArithmeticError):
     """Logarithm requested of a value indistinguishable from zero."""
 
 
-class NonConvergence(PgduseError, RuntimeError):
-    """No optimizer start satisfied the convergence criteria."""
-
-
 class ParseError(PgduseError, ValueError):
     """A data file entry could not be parsed as a number."""
 

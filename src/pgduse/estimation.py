@@ -22,13 +22,13 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .distributions import (
-    _LOG_EM1,
+    _MODELS,
     Dataset,
     ModelKind,
     ParamVector,
     ScalarParam,
     _coerce,
-    _pg_log_em1,
+    _log_f,
     _pg_log_ratio,
     log_pdf,
     validate_params,
@@ -110,21 +110,15 @@ def score_pgduse(p, data: Dataset) -> np.ndarray:
     # factors are evaluated through expm1 so the x -> 0 ratio x/t survives
     ratio = x * np.exp(1.0 - lam * x - d) / np.expm1(-np.expm1(-lam * x))
     d_lam = n / lam - x.sum() + np.sum(x * d) + (theta - 1.0) * np.sum(ratio)
-    d_theta = n / theta - n * _LOG_EM1 + np.sum(_pg_log_em1(lam, x))
+    d_theta = n / theta + np.sum(_pg_log_ratio(lam, x))
     return np.array([d_lam, d_theta])
-
-
-def _gduse_log_f(beta: float, x: np.ndarray) -> np.ndarray:
-    """log F(x; beta) = log(1 - exp(-beta*x)) of the exponential baseline."""
-    with np.errstate(divide="ignore"):
-        return np.log(-np.expm1(-beta * x))
 
 
 def _score_gduse(params: tuple[float, ...], data: Dataset) -> np.ndarray:
     """Analytic gradient (d/d alpha, d/d beta) of the GDUSE log-likelihood."""
     alpha, beta = params
     x = data.observations
-    log_f = _gduse_log_f(beta, x)
+    log_f = _log_f(beta, x)
     fa = np.exp(alpha * log_f)
     d_alpha = data.n / alpha + np.sum(log_f * (1.0 + fa))
     # d log F / d beta = x / expm1(beta*x), which is 0 once expm1 overflows
@@ -141,16 +135,18 @@ def _score_kme(params: tuple[float, ...], data: Dataset) -> np.ndarray:
     return np.array([data.n / theta - data.total - np.sum(x * np.exp(-theta * x))])
 
 
+_SCORES = {
+    ModelKind.PGDUSE: score_pgduse,
+    ModelKind.GDUSE: _score_gduse,
+    ModelKind.DUSE: lambda params, data: score_pgduse((params[0], 1.0), data)[:1],
+    ModelKind.KME: _score_kme,
+    ModelKind.ED: lambda params, data: np.array([data.n / params[0] - data.total]),
+}
+
+
 def _score(kind: ModelKind, params: tuple[float, ...], data: Dataset) -> np.ndarray:
-    if kind is ModelKind.PGDUSE:
-        return score_pgduse(params, data)
-    if kind is ModelKind.DUSE:
-        return score_pgduse((params[0], 1.0), data)[:1]
-    if kind is ModelKind.GDUSE:
-        return _score_gduse(params, data)
-    if kind is ModelKind.KME:
-        return _score_kme(params, data)
-    return np.array([data.n / params[0] - data.total])  # ED
+    """Analytic gradient of the log-likelihood of ``kind`` at ``params``."""
+    return _SCORES[kind](params, data)
 
 
 def _gduse_alpha_hat(beta: float, data: Dataset) -> float | None:
@@ -162,7 +158,7 @@ def _gduse_alpha_hat(beta: float, data: Dataset) -> float | None:
     n/alpha + 2 sum(L) <= h(alpha) <= n/alpha + sum(L) places its root in
     [n / (-2 sum L), n / (-sum L)].  There is none once sum(L) rounds to 0.
     """
-    log_f = _gduse_log_f(beta, data.observations)
+    log_f = _log_f(beta, data.observations)
     total = float(np.sum(log_f))
     # that interval widened by 2 at each end, so rounding cannot flip a sign
     hi = 2.0 * data.n / -total if total < 0.0 else math.inf
@@ -242,7 +238,7 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
             grad_norm=float(np.linalg.norm(_score(kind, params.as_tuple(), data))),
         )
 
-    rate_index = 1 if kind is ModelKind.GDUSE else 0
+    rate_index = _MODELS[kind].rate_index
 
     def slope(u: float) -> float:
         """Profile slope in the rate at log-rate u: the score's rate component."""

@@ -5,6 +5,7 @@ identities
 
     pdf_(r)(x) = n! / ((r-1)! (n-r)!) * G**(r-1) * (1-G)**(n-r) * g
     cdf_(r)(x) = sum_{i=r..n} C(n, i) * G**i * (1-G)**(n-i)
+               = I_G(r, n - r + 1)    (the regularized incomplete beta)
 
 so the minimum (r = 1) and maximum (r = n) are the lifetimes of series and
 parallel systems of n identical components.
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .distributions import (
     _LOG_EM1,
@@ -23,12 +25,10 @@ from .distributions import (
     ModelKind,
     PgduseParams,
     _coerce,
-    _pg_log_em1,
     _pg_log_ratio,
     _split_input,
     _wrap_output,
     cdf,
-    survival,
 )
 from .errors import DomainError
 
@@ -65,25 +65,18 @@ def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     out = np.zeros_like(arr)
     ok = arr >= 0.0
     xs = arr[ok]
-    # log(G**(r-1) * g) = log(theta*lam) + 1 - lam*x - exp(-lam*x)
-    #                     + (r*theta - 1)*log(exp(1-exp(-lam*x)) - 1)
-    #                     - r*theta*log(e-1)
+    log_g1 = _pg_log_ratio(lam, xs)
+    # log(G**(r-1) * g) = log(theta*lam) + 1 - lam*x - exp(-lam*x) - log(e-1)
+    #                     + (r*theta - 1)*log G1
     logs = (
-        log_coef
-        + math.log(theta)
-        + math.log(lam)
-        + 1.0
-        - lam * xs
-        - np.exp(-lam * xs)
-        - r * theta * _LOG_EM1
+        log_coef + math.log(theta) + math.log(lam) + 1.0 - _LOG_EM1 - lam * xs - np.exp(-lam * xs)
     )
     merged = r * theta - 1.0
     if merged != 0.0:
-        logs = logs + merged * _pg_log_em1(lam, xs)
+        logs = logs + merged * log_g1
     if n > r:
-        surv = -np.expm1(theta * _pg_log_ratio(lam, xs))
         with np.errstate(divide="ignore"):
-            logs = logs + (n - r) * np.log(surv)
+            logs = logs + (n - r) * np.log(-np.expm1(theta * log_g1))
     with np.errstate(over="ignore"):
         out[ok] = np.exp(logs)
     out[np.isnan(arr)] = np.nan
@@ -91,16 +84,10 @@ def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
 
 
 def order_stat_cdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
-    """P(r-th smallest of n draws <= x), the binomial upper-tail sum."""
+    """P(r-th smallest of n draws <= x) = I_G(r, n - r + 1)."""
     params = _coerce(ModelKind.PGDUSE, p)
     arr, scalar = _split_input(x)
-    n, r = spec.n, spec.r
-    big_g = np.asarray(cdf(ModelKind.PGDUSE, params, arr))
-    s = np.asarray(survival(ModelKind.PGDUSE, params, arr))
-    out = np.zeros_like(big_g)
-    for i in range(r, n + 1):
-        out += math.comb(n, i) * big_g ** i * s ** (n - i)
-    out[np.isnan(arr)] = np.nan
+    out = betainc(spec.r, spec.n - spec.r + 1, cdf(ModelKind.PGDUSE, params, arr))
     return _wrap_output(np.clip(out, 0.0, 1.0), scalar)
 
 

@@ -229,6 +229,25 @@ def test_unknown_model_is_handled(capsys):
     assert "unknown model" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--model", "ed", "--params", "1", "--fn", "cdf", "--at", "1",
+         "--pvalue-method", "exact"],
+        ["sample", "--model", "ed", "--params", "1", "--n", "3", "--pvalue-method", "exact"],
+        ["sample", "--model", "ed", "--params", "1", "--n", "3", "--format", "json"],
+        ["plotdata", "--data", "lawless", "--pvalue-method", "exact"],
+        ["plotdata", "--data", "lawless", "--format", "json"],
+    ],
+    ids=["eval-pvalue", "sample-pvalue", "sample-format", "plotdata-pvalue", "plotdata-format"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_pvalue_method_flag(capsys):
     code, exact_out, _ = run(capsys, "fit", "--model", "pgduse", "--data", "lawless",
                              "--pvalue-method", "exact", "--format", "json")

@@ -25,9 +25,11 @@ from pgduse import (
     pdf,
     quantile,
     sample,
+    score_pgduse,
     survival,
     validate_params,
 )
+from pgduse.estimation import _score
 
 from conftest import ALL_KINDS, GRID_LAMBDAS, grid_params
 
@@ -116,6 +118,25 @@ def test_pgduse_theta_one_is_duse():
         assert np.max(gap) < 1e-12
 
 
+_UNIT_SHAPE_POINTS = np.concatenate([[0.0, 1e-300, 1e-9], np.logspace(-6, 3, 200)])
+
+
+@pytest.mark.parametrize("fn", [cdf, survival, log_pdf, quantile], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("a", (0.01824, 0.5, 1.0, 2.0))
+def test_duse_is_pgduse_at_unit_theta(fn, a):
+    # DUSE is defined as PGDUSE with theta = 1, so the two agree bit for bit
+    points = np.linspace(0.0, 1.0, 200, endpoint=False) if fn is quantile else _UNIT_SHAPE_POINTS
+    np.testing.assert_array_equal(fn(ModelKind.DUSE, (a,), points),
+                                  fn(ModelKind.PGDUSE, (a, 1.0), points))
+
+
+@pytest.mark.parametrize("a", (0.01824, 0.5, 1.0, 2.0))
+def test_duse_score_is_pgduse_lambda_score_at_unit_theta(lawless, a):
+    got = _score(ModelKind.DUSE, (a,), lawless)
+    assert got.shape == (1,)
+    assert got[0] == score_pgduse((a, 1.0), lawless)[0]
+
+
 # ----------------------------------------------------------------------
 # pdf / log_pdf
 # ----------------------------------------------------------------------
@@ -149,6 +170,13 @@ def test_log_pdf_frozen_value():
     expected = -math.log(E - 1.0) - math.exp(-1.0)
     assert expected == pytest.approx(-0.9092042957843604, abs=1e-15)
     assert log_pdf(ModelKind.PGDUSE, (1.0, 1.0), 1.0) == pytest.approx(expected, abs=1e-12)
+
+
+def test_pgduse_log_pdf_keeps_digits_at_large_theta():
+    # mpmath at 60 digits: log(theta) + (theta-1)*log G1 + log(lam) + 1
+    # - lam*x - exp(-lam*x) - log(e-1) = -1.0694580211541892433...
+    got = log_pdf(ModelKind.PGDUSE, (1.0, 1e17), 40.0)
+    assert got == pytest.approx(-1.0694580211541892, rel=1e-13)
 
 
 def test_log_pdf_at_origin_and_negative():

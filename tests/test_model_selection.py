@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +94,16 @@ def test_ks_pvalue_exact_matches_scipy():
             assert ks_pvalue(d, n, "exact") == pytest.approx(
                 float(kstwo.sf(d, n)), abs=1e-10
             )
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; only the exact KS
+    # p-value needs it, and it loads it on first use
+    code = "import sys, pgduse, pgduse.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_ks_pvalue_asymptotic_series_terms():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -128,3 +129,17 @@ def test_origin_limits_without_nan():
     two = order_stat_pdf(weak, OrderSpec(3, 2), 0.0)  # r*theta = 1
     coef = 2.0 * math.comb(3, 2)  # n!/((r-1)!(n-r)!)
     assert two == pytest.approx(coef * 0.5 * 1.0 / (math.e - 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("r", (1, 1000, 2000))
+def test_order_stat_cdf_large_sample_matches_mpmath(r):
+    # the binomial upper-tail sum at 50 digits; n = 2000 once overflowed
+    n = 2000
+    x = float(quantile(ModelKind.PGDUSE, P, r / (n + 1.0)))
+    with mpmath.workdps(50):
+        g1 = (mpmath.exp(1 - mpmath.exp(-mpmath.mpf(x))) - 1) / (mpmath.e - 1)
+        big_g = g1 ** 2
+        want = mpmath.fsum(mpmath.binomial(n, i) * big_g ** i * (1 - big_g) ** (n - i)
+                           for i in range(r, n + 1))
+    got = order_stat_cdf(P, OrderSpec(n, r), x)
+    assert got == pytest.approx(float(want), rel=1e-12)
