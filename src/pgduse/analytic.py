@@ -5,6 +5,8 @@ Each analytic quantity comes in two independent routes:
 * a series route that expands ``(exp(1 - exp(-lam*x)) - 1)**(theta - 1)``
   with the generalized binomial theorem and integrates term by term, and
 * an adaptive-quadrature route that integrates the density directly.
+  It validates the parameters once; each node is one float, which
+  ``pdf`` hands straight to the model's kernel.
 
 The series route is exact term-for-term for integer ``theta`` (the
 expansion terminates), and for non-integer ``theta`` the terms decay like
@@ -21,7 +23,11 @@ to a Poisson-weighted mean ``E[h(M)]`` with ``M ~ Poisson(k - shift)``:
 * Renyi entropy:    h(m) = 1 / (m + delta)
 
 These means are computed in a normalized form that never exponentiates
-large magnitudes.
+large magnitudes.  For the first few k the Poisson mean k - shift is
+negative and the defining sum alternates; there each mean is the Kummer
+series of an integral over [0, 1] (DLMF 13.4.1), whose terms do not
+cancel.  The outer sum over k does cancel, so those means are summed in
+30-digit decimal arithmetic and rounded once.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable
 
-import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, zeta
@@ -101,31 +107,15 @@ class QuadOptions:
 # Poisson-weighted means
 # ----------------------------------------------------------------------
 
-def _poisson_mean(h_vec: Callable, h_mp: Callable, z: float):
+def _poisson_mean(h_vec: Callable, h_neg: Callable, z: float):
     """E[h(M)] for M ~ Poisson(z), extended by the same power sum to z <= 0.
 
     For z < 0 the defining sum alternates and cancels roughly like
-    exp(2|z|), so those few terms (they arise only for small series
-    indices) are summed under mpmath with enough guard digits.
+    exp(2|z|); ``h_neg(-z)`` then gives the same value from a series with
+    no cancellation (:func:`_reciprocal_mean`, :func:`_power_mean`).
     """
     if z < 0.0:
-        with mpmath.workdps(25 + int(2.5 * abs(z))):
-            zz = mpmath.mpf(z)
-            weight = mpmath.exp(-zz)
-            total = weight * h_mp(0)
-            m = 0
-            while True:
-                weight = weight * zz / (m + 1)
-                m += 1
-                term = weight * h_mp(m)
-                total += term
-                if m > abs(z) + 10 and abs(term) < mpmath.mpf("1e-40") * (1 + abs(total)):
-                    break
-                if m > 100000:
-                    raise SeriesDivergence("inner Poisson sum failed to converge")
-            if isinstance(total, mpmath.mpc):
-                return complex(total)
-            return float(total)
+        return h_neg(-z)
     if z < 40.0:
         m_max = int(3.0 * z) + 80
         m = np.arange(m_max + 1)
@@ -140,6 +130,74 @@ def _poisson_mean(h_vec: Callable, h_mp: Callable, z: float):
     return np.sum(weights * h_vec(m))
 
 
+# The z < 0 means enter an alternating outer sum whose terms can be 1e4
+# times its value, so a mean a few ulps off shows in the result.  They are
+# summed in decimal arithmetic with this many digits, 13 more than a
+# double holds, and rounded once.
+_DIGITS = 30
+# Past m = 2w each term is at most half the one before, so this many more
+# terms take the tail below _TAIL of the sum.
+_EXTRA_TERMS = 100
+_TAIL = Decimal("1e-20")
+
+
+def _reciprocal_mean(w: float, shift: float, tau: complex = 0.0, scale: float = 1.0):
+    """E[h(M)], h(m) = 1 / (scale*(m + shift) - tau), M ~ Poisson(-w), w > 0.
+
+    With b = scale*shift - tau this is the sum over m of
+    (scale*w)**m / prod_(j=0..m) (scale*j + b): for c = b/scale, the
+    Kummer series of integral_0^1 u**(c-1) exp(w*(1-u)) du / scale
+    (DLMF 13.4.1).  For real tau the terms are positive; for complex tau,
+    Re b > 0, their moduli fall once m passes w.  A complex ``tau`` gives
+    a complex mean.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        a = Decimal(scale)
+        ratio = Decimal(w) * a
+        b_re = a * Decimal(shift) - Decimal(tau.real)
+        b_im = -Decimal(tau.imag)
+        norm = b_re * b_re + b_im * b_im
+        t_re, t_im = b_re / norm, -b_im / norm          # the m = 0 term, 1/b
+        s_re, s_im = t_re, t_im
+        for m in range(1, int(2.0 * w) + _EXTRA_TERMS):
+            d_re = a * m + b_re                          # term *= ratio / (d_re + i*b_im)
+            k = ratio / (d_re * d_re + b_im * b_im)
+            t_re, t_im = k * (t_re * d_re + t_im * b_im), k * (t_im * d_re - t_re * b_im)
+            s_re += t_re
+            s_im += t_im
+            if m > 2.0 * w and abs(t_re) + abs(t_im) <= _TAIL * (abs(s_re) + abs(s_im)):
+                if isinstance(tau, complex):
+                    return complex(float(s_re), float(s_im))
+                return float(s_re)
+    raise SeriesDivergence(f"inner Poisson sum at z = {-w:g} failed to converge")
+
+
+def _power_mean(s: int, w: float) -> float:
+    """E[(M + 1)**-s], M ~ Poisson(-w), w > 0, for integer s >= 1.
+
+    Equals the sum of (w**m / m!) * h_(s-1)(1, 1/2, ..., 1/(m+1)) / (m+1),
+    where h_k is the complete homogeneous symmetric polynomial; adding the
+    variable x updates it in place as h_k += x * h_(k-1).  All terms are
+    positive.
+    """
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        h = [Decimal(1)] * s               # h_k(1) = 1 for every k
+        weight = total = Decimal(1)        # w**m / m! and the sum, at m = 0
+        ww = Decimal(w)
+        for m in range(1, int(2.0 * w) + _EXTRA_TERMS):
+            x = Decimal(1) / (m + 1)
+            for k in range(1, s):
+                h[k] += x * h[k - 1]
+            weight = weight * ww / m
+            term = weight * h[-1] * x
+            total += term
+            if m > 2.0 * w and term <= _TAIL * total:
+                return float(total)
+    raise SeriesDivergence(f"inner Poisson sum at z = {-w:g} failed to converge")
+
+
 # ----------------------------------------------------------------------
 # binomial-series driver with power-law tail closure
 # ----------------------------------------------------------------------
@@ -148,12 +206,14 @@ def _binomial_series(
     power: float,
     shift: float,
     h_vec: Callable,
-    h_mp: Callable,
+    h_neg: Callable,
     tail_exponent: float,
     opts: SeriesOptions,
     complex_valued: bool = False,
 ):
     """Sum over k of C(power, k) * (-1)**k * E[h(M)], M ~ Poisson(k - shift).
+
+    ``h_vec`` is h on an array of m; ``h_neg(w)`` is the mean at k - shift = -w.
 
     Stops when two consecutive terms fall below ``abs_tol`` (exact
     termination for nonnegative-integer ``power``).  If the budget runs out
@@ -169,7 +229,7 @@ def _binomial_series(
     for k in range(opts.max_terms):
         if coeff == 0.0:
             return total
-        term = coeff * _poisson_mean(h_vec, h_mp, k - shift)
+        term = coeff * _poisson_mean(h_vec, h_neg, k - shift)
         terms.append(term)
         total += term
         if abs(term) < opts.abs_tol:
@@ -213,14 +273,22 @@ def _binomial_series(
 # quadrature plumbing
 # ----------------------------------------------------------------------
 
-def _upper_limit(kind: ModelKind, params, decay_rate: float, margin_rate: float = 1.0) -> float:
+def _validated(kind: ModelKind, p):
+    """``p`` checked once: its floats, and the typed vector that ``pdf``
+    and ``quantile`` accept at every quadrature node without checking it
+    again."""
+    params = _coerce(kind, p)
+    return params, _MODELS[kind].param_class(*params)
+
+
+def _upper_limit(kind: ModelKind, typed, decay_rate: float, margin_rate: float = 1.0) -> float:
     """Integration cutoff: the far quantile plus an exponential-decay margin."""
-    top = float(quantile(kind, params, 1.0 - 1e-13))
+    top = float(quantile(kind, typed, 1.0 - 1e-13))
     return top + 45.0 / (decay_rate * margin_rate)
 
 
-def _interior_points(kind: ModelKind, params) -> list[float]:
-    return [float(quantile(kind, params, q)) for q in (0.25, 0.5, 0.75)]
+def _interior_points(kind: ModelKind, typed) -> list[float]:
+    return [float(quantile(kind, typed, q)) for q in (0.25, 0.5, 0.75)]
 
 
 def _checked_quad(func, lo, hi, opts: QuadOptions, points=None, weight=None, wvar=None):
@@ -266,10 +334,10 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     def h_vec(m):
         return (m + 1.0) ** exponent
 
-    def h_mp(m):
-        return mpmath.mpf(m + 1) ** exponent
+    def h_neg(w):
+        return _power_mean(r + 1, w)
 
-    kernel = _binomial_series(theta - 1.0, theta, h_vec, h_mp, theta + r + 1.0, opts)
+    kernel = _binomial_series(theta - 1.0, theta, h_vec, h_neg, theta + r + 1.0, opts)
     return prefactor * kernel
 
 
@@ -283,13 +351,13 @@ def raw_moment_quadrature(
     """
     if r < 1 or int(r) != r:
         raise DomainError(f"moment order must be a positive integer, got {r!r}")
-    params = _coerce(kind, p)
-    top = float(quantile(kind, params, 1.0 - 1e-12))
+    _, typed = _validated(kind, p)
+    top = float(quantile(kind, typed, 1.0 - 1e-12))
 
     def integrand(x):
-        return x ** r * pdf(kind, params, x)
+        return x ** r * pdf(kind, typed, x)
 
-    return _checked_quad(integrand, 0.0, top, opts, points=_interior_points(kind, params))
+    return _checked_quad(integrand, 0.0, top, opts, points=_interior_points(kind, typed))
 
 
 # ----------------------------------------------------------------------
@@ -307,27 +375,26 @@ def mgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> flo
     def h_vec(m):
         return 1.0 / (lam * (m + 1.0) - t)
 
-    def h_mp(m):
-        return 1 / (lam * (m + 1) - mpmath.mpf(t))
+    def h_neg(w):
+        return _reciprocal_mean(w, 1.0, t, lam)
 
-    kernel = _binomial_series(theta - 1.0, theta, h_vec, h_mp, theta + 1.0, opts)
+    kernel = _binomial_series(theta - 1.0, theta, h_vec, h_neg, theta + 1.0, opts)
     return prefactor * kernel
 
 
 def mgf_quadrature(p: PgduseParams, t: float, opts: QuadOptions = QuadOptions()) -> float:
     """Quadrature oracle for :func:`mgf`: integral of exp(t*x) * pdf(x)."""
-    lam, theta = _coerce(ModelKind.PGDUSE, p)
+    (lam, _), typed = _validated(ModelKind.PGDUSE, p)
     t = float(t)
     if t >= lam:
         raise DomainError(f"mgf requires t < lambda ({lam:g}), got t={t:g}")
-    params = (lam, theta)
-    top = _upper_limit(ModelKind.PGDUSE, params, lam - t if t > 0.0 else lam)
+    top = _upper_limit(ModelKind.PGDUSE, typed, lam - t if t > 0.0 else lam)
 
     def integrand(x):
-        return math.exp(t * x) * pdf(ModelKind.PGDUSE, params, x)
+        return math.exp(t * x) * pdf(ModelKind.PGDUSE, typed, x)
 
     return _checked_quad(
-        integrand, 0.0, top, opts, points=_interior_points(ModelKind.PGDUSE, params)
+        integrand, 0.0, top, opts, points=_interior_points(ModelKind.PGDUSE, typed)
     )
 
 
@@ -340,11 +407,11 @@ def cf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> comp
     def h_vec(m):
         return 1.0 / (lam * (m + 1.0) - 1j * t)
 
-    def h_mp(m):
-        return 1 / (lam * (m + 1) - mpmath.mpc(0, t))
+    def h_neg(w):
+        return _reciprocal_mean(w, 1.0, 1j * t, lam)
 
     kernel = _binomial_series(
-        theta - 1.0, theta, h_vec, h_mp, theta + 1.0, opts, complex_valued=True
+        theta - 1.0, theta, h_vec, h_neg, theta + 1.0, opts, complex_valued=True
     )
     return complex(prefactor * kernel)
 
@@ -356,22 +423,17 @@ def cf_quadrature(p: PgduseParams, t: float, opts: QuadOptions = QuadOptions()) 
     initial plain-quadrature slice absorbs the integrable density
     singularity at 0 when theta < 1.
     """
-    lam, theta = _coerce(ModelKind.PGDUSE, p)
+    (lam, _), typed = _validated(ModelKind.PGDUSE, p)
     t = float(t)
-    params = (lam, theta)
+    density = lambda x: pdf(ModelKind.PGDUSE, typed, x)
     if t == 0.0:
-        top0 = float(quantile(ModelKind.PGDUSE, params, 1.0 - 1e-13))
+        top0 = float(quantile(ModelKind.PGDUSE, typed, 1.0 - 1e-13))
         value = _checked_quad(
-            lambda x: pdf(ModelKind.PGDUSE, params, x),
-            0.0,
-            top0,
-            opts,
-            points=_interior_points(ModelKind.PGDUSE, params),
+            density, 0.0, top0, opts, points=_interior_points(ModelKind.PGDUSE, typed)
         )
         return complex(value, 0.0)
-    top = _upper_limit(ModelKind.PGDUSE, params, lam)
+    top = _upper_limit(ModelKind.PGDUSE, typed, lam)
     split = min(0.05 / abs(t), top / 8.0)
-    density = lambda x: pdf(ModelKind.PGDUSE, params, x)
     re = _checked_quad(lambda x: math.cos(t * x) * density(x), 0.0, split, opts)
     im = _checked_quad(lambda x: math.sin(t * x) * density(x), 0.0, split, opts)
     re += _checked_quad(density, split, top, opts, weight="cos", wvar=t)
@@ -404,18 +466,18 @@ def renyi_entropy(
     delta = float(delta)
     if delta <= 0.0 or delta == 1.0:
         raise DomainError(f"Renyi order must be positive and != 1, got {delta!r}")
-    params = _coerce(kind, p)
+    params, typed = _validated(kind, p)
     model = _MODELS[kind]
     if delta * model.edge_exponent(params) <= -1.0:
         raise QuadFailure(
             f"pdf**{delta:g} is not integrable at 0 for {kind.value} with these parameters"
         )
-    top = _upper_limit(kind, params, params[model.rate_index], margin_rate=min(delta, 1.0))
+    top = _upper_limit(kind, typed, params[model.rate_index], margin_rate=min(delta, 1.0))
 
     def integrand(x):
-        return pdf(kind, params, x) ** delta
+        return pdf(kind, typed, x) ** delta
 
-    value = _checked_quad(integrand, 0.0, top, opts, points=_interior_points(kind, params))
+    value = _checked_quad(integrand, 0.0, top, opts, points=_interior_points(kind, typed))
     if value <= 0.0:
         raise QuadFailure("integral of pdf**delta came out non-positive")
     return math.log(value) / (1.0 - delta)
@@ -448,10 +510,10 @@ def renyi_entropy_series(
     def h_vec(m):
         return 1.0 / (m + delta)
 
-    def h_mp(m):
-        return 1 / (m + mpmath.mpf(delta))
+    def h_neg(w):
+        return _reciprocal_mean(w, delta)
 
-    kernel = _binomial_series(power, delta * theta, h_vec, h_mp, power + 2.0, opts)
+    kernel = _binomial_series(power, delta * theta, h_vec, h_neg, power + 2.0, opts)
     value = prefactor * kernel
     if value <= 0.0:
         raise SeriesDivergence("series for the entropy integral lost positivity")

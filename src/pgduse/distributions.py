@@ -61,6 +61,7 @@ __all__ = [
 _E = math.e
 _EM1 = math.e - 1.0
 _LOG_EM1 = math.log(math.e - 1.0)
+_LN2 = math.log(2.0)
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
@@ -253,19 +254,6 @@ def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gduse_log_ratio(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """log G for GDUSE, branched at F**alpha = 1/2 like _pg_log_ratio."""
-    log_fa = alpha * _log_f(beta, x)  # log(F**alpha)
-    out = np.empty_like(log_fa)
-    small = log_fa < -math.log(2.0)
-    with np.errstate(divide="ignore"):
-        out[small] = np.log(np.expm1(np.exp(log_fa[small]))) - _LOG_EM1
-    big = ~small
-    z = _E * np.expm1(np.expm1(log_fa[big])) / _EM1
-    out[big] = np.log1p(np.maximum(z, -1.0))
-    return out
-
-
 def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     return np.atleast_1d(arr.astype(float, copy=True)), arr.ndim == 0
@@ -310,6 +298,20 @@ def _pg_quantile(params, q):
 def _unit_shape(pg_kernel):
     """The DUSE kernel: ``pg_kernel`` at theta = 1."""
     return lambda params, x: pg_kernel((params[0], 1.0), x)
+
+
+def _gduse_sf(params, x):
+    """1 - G = -e*expm1(F**alpha - 1)/(e-1), with F**alpha - 1 = expm1(alpha*log F).
+
+    From beta*x = ln 2 on, log F is a small negative number whose relative
+    digits carry 1 - G, so it is recomputed there as log1p(-exp(-beta*x)).
+    """
+    alpha, beta = params
+    log_f = np.empty_like(x)
+    big = beta * x >= _LN2
+    log_f[~big] = _log_f(beta, x[~big])
+    log_f[big] = np.log1p(-np.exp(-beta * x[big]))
+    return -_E * np.expm1(np.expm1(alpha * log_f)) / _EM1
 
 
 def _gduse_log_pdf(params, x):
@@ -362,8 +364,9 @@ _MODELS = {
     ),
     ModelKind.GDUSE: _Model(
         ("alpha", "beta"), GduseParams, 1, lambda p: p[0] - 1.0,
-        cdf=lambda p, x: np.exp(_gduse_log_ratio(*p, x)),
-        sf=lambda p, x: -np.expm1(_gduse_log_ratio(*p, x)),
+        # G = expm1(F**alpha)/(e-1) keeps its digits where G is tiny
+        cdf=lambda p, x: np.expm1(np.exp(p[0] * _log_f(p[1], x))) / _EM1,
+        sf=_gduse_sf,
         log_pdf=_gduse_log_pdf,
         quantile=_gduse_quantile,
     ),
@@ -402,10 +405,18 @@ def _on_support(kernel: _Kernel, params, arr: np.ndarray, fill: float, closed: b
 
 def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
               closed: bool = False, clip: bool = False):
-    """The public path: validate, evaluate one kernel of the record, wrap."""
+    """The public path: validate, evaluate one kernel of the record, wrap.
+
+    One float on the support, the quadrature oracles' case, skips the
+    masks and goes straight to the kernel with the same one-point array.
+    """
     params = _coerce(kind, p)
+    kernel = getattr(_MODELS[kind], kernel_name)
+    if isinstance(x, float) and (x >= 0.0 if closed else x > 0.0):
+        out = kernel(params, np.array([x]))
+        return float(np.clip(out, 0.0, 1.0)[0] if clip else out[0])
     arr, scalar = _split_input(x)
-    out = _on_support(getattr(_MODELS[kind], kernel_name), params, arr, fill, closed)
+    out = _on_support(kernel, params, arr, fill, closed)
     return _wrap_output(np.clip(out, 0.0, 1.0) if clip else out, scalar)
 
 

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import pgduse.distributions
 from pgduse import (
     DomainError,
     ModelKind,
@@ -25,6 +27,7 @@ from pgduse import (
     skewness,
     variance,
 )
+from pgduse.analytic import _power_mean, _reciprocal_mean
 
 from conftest import GRID_LAMBDAS, GRID_THETAS
 
@@ -50,6 +53,56 @@ def two_sum_mgf_theta2(lam, t, m_terms=60):
     s1 = sum((-1.0) ** m / (math.factorial(m) * (lam + lam * m - t))
              for m in range(m_terms))
     return 2.0 * lam * E / (E - 1.0) ** 2 * (E * s2 - s1)
+
+
+# ----------------------------------------------------------------------
+# Poisson means at negative argument
+# ----------------------------------------------------------------------
+
+NEG_Z = np.linspace(-12.5, -0.1, 25)
+
+
+def alternating_poisson_mean(h, z):
+    """sum_m exp(-z) z**m / m! h(m) at 50 digits past its cancellation."""
+    with mpmath.workdps(50 + int(2.5 * abs(z))):
+        zz = mpmath.mpf(z)
+        weight = mpmath.exp(-zz)
+        total = weight * h(0)
+        m = 0
+        while True:
+            weight *= zz / (m + 1)
+            m += 1
+            term = weight * h(m)
+            total += term
+            if m > abs(z) + 10 and abs(term) < mpmath.mpf("1e-60") * abs(total):
+                return complex(total) if isinstance(total, mpmath.mpc) else float(total)
+
+
+# one rounding of an exact value: within half an ulp, so 1.2e-16 relative
+ONE_ROUNDING = 1.2e-16
+
+
+# (shift, tau, scale) of h(m) = 1/(scale*(m + shift) - tau): Renyi entropy
+# (c = shift), the mgf (real tau) and the cf (imaginary tau)
+@pytest.mark.parametrize("shift, tau, scale", [
+    (0.5, 0.0, 1.0), (0.7, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
+    (1.0, 0.3, 1.0), (1.0, -0.9, 0.5), (1.0, 0.7j, 1.0), (1.0, 30j, 1.0), (1.0, 2.4j, 2.0),
+])
+def test_reciprocal_mean_matches_the_alternating_sum(shift, tau, scale):
+    tau_mp = mpmath.mpc(tau) if isinstance(tau, complex) else mpmath.mpf(tau)
+    scale_mp, shift_mp = mpmath.mpf(scale), mpmath.mpf(shift)
+    for z in NEG_Z:
+        want = alternating_poisson_mean(lambda m: 1 / (scale_mp * (m + shift_mp) - tau_mp), z)
+        got = _reciprocal_mean(-z, shift, tau, scale)
+        assert isinstance(got, complex) == isinstance(tau, complex)
+        assert abs(got - want) <= ONE_ROUNDING * abs(want)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3, 4, 7))
+def test_power_mean_matches_the_alternating_sum(r):
+    for z in NEG_Z:
+        want = alternating_poisson_mean(lambda m: mpmath.mpf(m + 1) ** -(r + 1), z)
+        assert abs(_power_mean(r + 1, -z) - want) <= ONE_ROUNDING * want
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +283,15 @@ def test_renyi_series_matches_quadrature(delta):
         assert s == pytest.approx(q, rel=1e-5, abs=1e-8)
 
 
+def test_renyi_series_keeps_its_digits_where_the_outer_sum_cancels():
+    # theta = 5, delta > 2: the sum of |terms| is about 1e4 times the
+    # value, so a few ulps lost in each z < 0 mean show up here.
+    # Reference: log(integral of pdf**delta) / (1 - delta) with mpmath at
+    # 60 digits
+    value = renyi_entropy_series(PgduseParams(2.0, 5.0), 2.6633423704598)
+    assert value == pytest.approx(0.58906649289810885194, rel=1e-12)
+
+
 def test_renyi_non_integrable_reports_failure():
     # delta*(1 - theta) >= 1: the integrand is not integrable at the origin
     with pytest.raises(QuadFailure):
@@ -270,6 +332,52 @@ def test_skewness_kurtosis_against_sample():
     ku = np.mean(centred ** 4) / np.mean(centred ** 2) ** 2
     assert skewness(p, ACC) == pytest.approx(sk, abs=0.05)
     assert kurtosis(p, ACC) == pytest.approx(ku, abs=0.25)
+
+
+def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
+    # each node is one float on the support: pdf must take it straight to
+    # the kernel, on parameters the route validated once
+    validated = []
+    real_validate = pgduse.distributions.validate_params
+
+    def counting_validate(kind, raw):
+        validated.append(kind)
+        return real_validate(kind, raw)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature node went through the masked array path")
+
+    monkeypatch.setattr(pgduse.distributions, "validate_params", counting_validate)
+    monkeypatch.setattr(pgduse.distributions, "_on_support", refuse)
+    routes = [
+        lambda: raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), 2),
+        lambda: mgf_quadrature((1.0, 2.0), 0.5),
+        lambda: cf_quadrature((1.0, 2.0), 1.0),
+        lambda: cf_quadrature((1.0, 2.0), 0.0),
+        lambda: renyi_entropy(ModelKind.PGDUSE, (1.0, 2.0), 2.0),
+    ]
+    for kind, params in ((ModelKind.GDUSE, (2.0, 1.0)), (ModelKind.KME, (1.0,))):
+        routes += [lambda k=kind, p=params: raw_moment_quadrature(k, p, 1),
+                   lambda k=kind, p=params: renyi_entropy(k, p, 0.5)]
+    for route in routes:
+        validated.clear()
+        assert math.isfinite(abs(route()))
+        assert len(validated) == 1
+
+
+@pytest.mark.parametrize("kind, params", [
+    (ModelKind.PGDUSE, (1.0, 0.5)), (ModelKind.PGDUSE, (1.3, 2.5)), (ModelKind.GDUSE, (0.5, 2.3)),
+    (ModelKind.DUSE, (0.8,)), (ModelKind.KME, (1.0,)), (ModelKind.ED, (2.0,)),
+])
+def test_one_float_matches_the_array_path(kind, params):
+    # the quadrature nodes' shortcut agrees bit for bit with a one-point array
+    fns = (pgduse.distributions.pdf, pgduse.distributions.log_pdf, pgduse.distributions.cdf,
+           pgduse.distributions.survival)
+    for x in (-1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 7.0, 60.0, 800.0, math.inf, math.nan):
+        for fn in fns:
+            one, arr = fn(kind, params, x), fn(kind, params, np.array([x]))[0]
+            assert isinstance(one, float)
+            assert one == arr or (math.isnan(one) and math.isnan(arr)), (fn.__name__, x)
 
 
 def test_options_validation():

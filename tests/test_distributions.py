@@ -232,6 +232,16 @@ def test_hazard_frozen_value():
     assert hazard(ModelKind.PGDUSE, (1.0, 2.0), 1.0) == pytest.approx(0.5610693815457461, rel=1e-12)
 
 
+@pytest.mark.parametrize("x, expected", [
+    # mpmath at 200 digits: (e - exp((1 - exp(-2.3*x))**0.5)) / (e - 1)
+    (20.0, 8.329595684302004e-21),
+    (50.0, 9.00128826387783e-51),
+])
+def test_gduse_survival_keeps_its_upper_tail(x, expected):
+    got = survival(ModelKind.GDUSE, (0.5, 2.3), x)
+    assert abs(got - expected) <= 1e-13 * expected
+
+
 def test_hazard_infinite_when_survival_underflows():
     assert survival(ModelKind.ED, (1.0,), 1e6) == 0.0
     assert hazard(ModelKind.ED, (1.0,), 1e6) == math.inf

@@ -98,12 +98,14 @@ def test_ks_pvalue_exact_matches_scipy():
 
 def test_importing_the_package_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import; only the exact KS
-    # p-value needs it, and it loads it on first use
-    code = "import sys, pgduse, pgduse.cli; print('scipy.stats' in sys.modules)"
+    # p-value needs it, and it loads it on first use.  mpmath is a test
+    # dependency only
+    code = ("import sys, pgduse, pgduse.cli; "
+            "print('scipy.stats' in sys.modules, 'mpmath' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_ks_pvalue_asymptotic_series_terms():
