@@ -207,7 +207,9 @@ class Dataset:
         self.observations = obs
         self.sorted_values = srt
         self.n = int(obs.size)
-        self.total = float(obs.sum())
+        # inf once the sum passes the largest double; fit_mle rejects that scale
+        with np.errstate(over="ignore"):
+            self.total = float(obs.sum())
 
     @property
     def mean(self) -> float:

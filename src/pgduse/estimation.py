@@ -1,16 +1,20 @@
 """Maximum-likelihood fitting of the five models.
 
-Every fit is a one-dimensional search over the log of the model's rate.
+Every fit is a one-dimensional root-find over the log of the model's rate.
 For a fixed rate each two-parameter model has a unique best shape, so the
 shape is profiled out: PGDUSE in closed form, theta = -n / sum(log G1),
 and GDUSE by one bracketed root of its strictly decreasing alpha score.
-DUSE and KME have no shape.  The search brackets the maximum by stepping
-the rate by factors of 2 from 1/mean until the profile slope changes sign,
-runs a bounded Brent search on the profile log-likelihood, and polishes
-the result with ``brentq`` on the profile slope, which by the envelope
-theorem is the rate component of the analytic score at the profiled shape.
-A fit is certified by the score norm and a negative profile curvature.
-The exponential model uses its closed-form estimate n / sum(x).
+DUSE and KME have no shape.  By the envelope theorem the slope of the
+profile log-likelihood is the rate component of the analytic score at the
+profiled shape.  The fit steps the rate by factors of 2 from n / sum(x)
+until that slope changes sign, and the maximum is then the one root of the
+slope in the bracket, found by ``brentq``.  The exponential model takes its
+closed-form estimate n / sum(x) and skips both steps.
+
+Every fit is certified the same way: the score per log-parameter,
+p * grad(logL), has norm at most ``grad_tol * n``, and the profile
+curvature in the log-rate is negative.  Both are unchanged when the data
+are rescaled.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .distributions import (
     _MODELS,
@@ -33,7 +37,7 @@ from .distributions import (
     log_pdf,
     validate_params,
 )
-from .errors import EmptyDataset
+from .errors import DomainError, EmptyDataset
 
 __all__ = [
     "FitOptions",
@@ -47,22 +51,20 @@ __all__ = [
 # the bracket steps the rate by this factor, at most this many times
 _RATE_STEP = math.log(2.0)
 _MAX_RATE_STEPS = 64
-# Brent only has to land near the maximum: below about sqrt(eps) the
-# profile is too flat to order points, and the slope polish takes over
-_SEARCH_XATOL = 1e-5
+# log of the largest finite rate
+_MAX_LOG_RATE = math.log(np.finfo(float).max)
 # log-rate offset of the central difference that signs the curvature
 _CURVATURE_STEP = 1e-4
-# objective value at log-rates where the profile does not exist
-_INFEASIBLE = 1e300
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Controls for the profile-likelihood search.
+    """Controls for the profile-likelihood root-find.
 
-    ``max_iters`` bounds the Brent iterations and those of the slope
-    polish; a fit that runs out of either is reported as not converged.
-    ``step_tol`` is the log-rate tolerance of the polish.
+    ``max_iters`` bounds the ``brentq`` iterations; a fit that runs out of
+    them is reported as not converged.  ``step_tol`` is the log-rate
+    tolerance of ``brentq``, and a fit is certified when the norm of the
+    score per log-parameter is at most ``grad_tol * n``.
     """
 
     max_iters: int = 5000
@@ -144,11 +146,6 @@ _SCORES = {
 }
 
 
-def _score(kind: ModelKind, params: tuple[float, ...], data: Dataset) -> np.ndarray:
-    """Analytic gradient of the log-likelihood of ``kind`` at ``params``."""
-    return _SCORES[kind](params, data)
-
-
 def _gduse_alpha_hat(beta: float, data: Dataset) -> float | None:
     """The alpha maximizing the GDUSE likelihood at ``beta``, or None.
 
@@ -189,11 +186,12 @@ def _profile(kind: ModelKind, rate: float, data: Dataset) -> tuple[float, ...] |
 
 
 def _bracket(slope, u0: float) -> tuple[float, float, bool]:
-    """Log-rates a < b around the profile maximum, stepping out from ``u0``.
+    """Log-rates around the profile maximum, stepping out from ``u0``.
 
-    The third value is True when slope(a) > 0 > slope(b).  Otherwise the
-    walk met a log-rate without a profile, or ran out of steps, and (a, b)
-    is its last step taken (the step back from ``u0`` if it took none).
+    Returns (a, b, True) with slope(a) > 0 >= slope(b) once the slope
+    changes sign.  Otherwise the walk met a log-rate without a profile, or
+    ran out of steps, and it returns (u, u, False) with u the last log-rate
+    of the walk.
     """
     rising = slope(u0) > 0.0
     step = _RATE_STEP if rising else -_RATE_STEP
@@ -205,7 +203,7 @@ def _bracket(slope, u0: float) -> tuple[float, float, bool]:
         u += step
         if (s > 0.0) != rising:
             return min(u - step, u), max(u - step, u), True
-    return min(u - step, u), max(u - step, u), False
+    return u, u, False
 
 
 def fit_ed_closed_form(data: Dataset) -> ScalarParam:
@@ -216,83 +214,57 @@ def fit_ed_closed_form(data: Dataset) -> ScalarParam:
 def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> FitResult:
     """Maximize the log-likelihood of ``kind`` on ``data``.
 
-    The search runs over u = log(rate) of the profile log-likelihood, so
-    the parameters stay positive; the result is deterministic.
-    ``iterations`` counts the Brent and the polish iterations.
-    ``converged`` requires a bracketed maximum, a search and polish that
-    finished within ``opts.max_iters``, a score norm within
-    ``grad_tol * (1 + |logL|)`` and a negative profile curvature.
+    The fit runs over u = log(rate) of the profile log-likelihood, so the
+    parameters stay positive; the result is deterministic.  ED takes its
+    closed-form rate n / sum(x); every other model brackets a sign change
+    of the profile slope and finds its root with one ``brentq``, whose
+    iterations ``iterations`` counts (0 for ED).  Where the walk finds no
+    sign change, the fit reports the last log-rate of the walk.
+    ``converged`` requires a bracketed root found within ``opts.max_iters``,
+    a score per log-parameter with norm at most ``grad_tol * n``
+    (``grad_norm``) and a negative profile curvature.
+
+    Raises DomainError when n / sum(x) is not a positive finite double:
+    the sample must then be rescaled.
     """
     if data.n == 0:
         raise EmptyDataset("cannot fit an empty sample")
-
-    if kind is ModelKind.ED:
-        params = fit_ed_closed_form(data)
-        value = log_likelihood(kind, params, data)
-        return FitResult(
-            kind=kind,
-            params=params,
-            log_likelihood=value,
-            converged=True,
-            iterations=0,
-            grad_norm=float(np.linalg.norm(_score(kind, params.as_tuple(), data))),
-        )
-
+    rate = data.n / data.total
+    if not 0.0 < rate < math.inf:
+        raise DomainError(f"n / sum(x) = {rate!r} is not a finite positive rate; "
+                          "rescale the sample")
+    score = _SCORES[kind]
     rate_index = _MODELS[kind].rate_index
 
     def slope(u: float) -> float:
         """Profile slope in the rate at log-rate u: the score's rate component."""
-        params = _profile(kind, math.exp(u), data)
-        return math.nan if params is None else float(_score(kind, params, data)[rate_index])
+        params = _profile(kind, math.exp(u), data) if u < _MAX_LOG_RATE else None
+        return math.nan if params is None else float(score(params, data)[rate_index])
 
-    def objective(u: float) -> float:
-        params = _profile(kind, math.exp(u), data)
-        value = math.nan if params is None else log_likelihood(kind, params, data)
-        return -value if math.isfinite(value) else _INFEASIBLE
+    u = math.log(rate)
+    iterations, found = 0, True
+    if kind is not ModelKind.ED:
+        a, b, found = _bracket(slope, u)
+        u = a
+        if found:
+            u, info = brentq(
+                slope, a, b, xtol=opts.step_tol, maxiter=opts.max_iters,
+                full_output=True, disp=False,
+            )
+            found, iterations = info.converged, info.iterations
+        rate = math.exp(u)
 
-    a, b, bracketed = _bracket(slope, math.log(1.0 / data.mean))
-    search = minimize_scalar(
-        objective,
-        bounds=(a, b),
-        method="bounded",
-        options=dict(xatol=_SEARCH_XATOL, maxiter=opts.max_iters),
-    )
-    u = float(search.x)
-    iterations = int(search.nit)
-    polished = True
-    s = slope(u)
-    if bracketed and math.isfinite(s) and s != 0.0:
-        lo, hi = (u, b) if s > 0.0 else (a, u)
-        u, info = brentq(
-            slope,
-            lo,
-            hi,
-            xtol=opts.step_tol,
-            maxiter=opts.max_iters,
-            full_output=True,
-            disp=False,
-        )
-        polished = info.converged
-        iterations += info.iterations
-
-    params_tuple = _profile(kind, math.exp(u), data)
+    params_tuple = _profile(kind, rate, data)
     params = validate_params(kind, params_tuple)
     value = log_likelihood(kind, params, data)
-    grad_norm = float(np.linalg.norm(_score(kind, params_tuple, data)))
+    grad_norm = float(np.linalg.norm(np.multiply(params_tuple, score(params_tuple, data))))
     h = _CURVATURE_STEP
     curvature = (slope(u + h) - slope(u - h)) / (2.0 * h)
-    converged = (
-        bracketed
-        and bool(search.success)
-        and polished
-        and grad_norm <= opts.grad_tol * (1.0 + abs(value))
-        and curvature < 0.0
-    )
     return FitResult(
         kind=kind,
         params=params,
         log_likelihood=value,
-        converged=converged,
+        converged=found and grad_norm <= opts.grad_tol * data.n and curvature < 0.0,
         iterations=iterations,
         grad_norm=grad_norm,
     )

@@ -46,6 +46,18 @@ def test_fit_empty_file_errors(capsys, tmp_path):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("values", ["9e307\n9e307\n8e307\n", "1e-310\n2e-310\n5e-310\n"])
+@pytest.mark.parametrize("command", [("compare",), ("fit", "--model", "pgduse")])
+def test_sample_scale_outside_the_rate_range_errors(capsys, tmp_path, values, command):
+    path = tmp_path / "scaled.txt"
+    path.write_text(values)
+    code, out, err = run(capsys, *command, "--data", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "rescale" in err
+    assert "Traceback" not in err
+
+
 def test_fit_json_csv_numeric_identity(capsys):
     code, json_out, _ = run(capsys, "fit", "--model", "gduse", "--data", "lawless",
                             "--format", "json")

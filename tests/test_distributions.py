@@ -29,7 +29,7 @@ from pgduse import (
     survival,
     validate_params,
 )
-from pgduse.estimation import _score
+from pgduse.estimation import _SCORES
 
 from conftest import ALL_KINDS, GRID_LAMBDAS, grid_params
 
@@ -132,7 +132,7 @@ def test_duse_is_pgduse_at_unit_theta(fn, a):
 
 @pytest.mark.parametrize("a", (0.01824, 0.5, 1.0, 2.0))
 def test_duse_score_is_pgduse_lambda_score_at_unit_theta(lawless, a):
-    got = _score(ModelKind.DUSE, (a,), lawless)
+    got = _SCORES[ModelKind.DUSE]((a,), lawless)
     assert got.shape == (1,)
     assert got[0] == score_pgduse((a, 1.0), lawless)[0]
 

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import pgduse.distributions
 import pgduse.estimation
 from pgduse import (
     Dataset,
+    DomainError,
     FitOptions,
     ModelKind,
     PgduseParams,
@@ -90,7 +93,7 @@ def test_score_matches_central_differences(lawless):
 def test_every_model_score_matches_central_differences(lawless, kind):
     # 0.8 x the generator keeps every component away from its zero
     params = tuple(0.8 * v for v in GENERATORS[kind])
-    analytic = pgduse.estimation._score(kind, params, lawless)
+    analytic = pgduse.estimation._SCORES[kind](params, lawless)
     fd = np.empty(len(params))
     for j, value in enumerate(params):
         step = 1e-6 * value
@@ -213,31 +216,68 @@ def test_seeded_sweep_reaches_the_maximum(kind, n):
 
 
 def test_log_likelihood_calls_per_fit_capped(lawless, monkeypatch):
-    # the search evaluates log_likelihood through its module, so a wrapper
-    # installed there sees every evaluation, not just the final one
-    calls = []
+    # the root-find works on the analytic score alone: log_likelihood is
+    # called once, for the result, and the scores through _SCORES
+    calls = {"loglik": 0, "score": 0}
     original = pgduse.estimation.log_likelihood
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls["loglik"] += 1
         return original(*args, **kwargs)
 
+    def counted(score):
+        def wrapper(*args, **kwargs):
+            calls["score"] += 1
+            return score(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(pgduse.estimation, "log_likelihood", counting)
+    for kind, score in list(pgduse.estimation._SCORES.items()):
+        monkeypatch.setitem(pgduse.estimation._SCORES, kind, counted(score))
     synthetic = Dataset(sample(ModelKind.PGDUSE, GENERATORS[ModelKind.PGDUSE], 1000, seed=5))
     for data in (lawless, synthetic):
         for kind in ModelKind:
-            calls.clear()
+            calls.update(loglik=0, score=0)
             assert fit_mle(kind, data).converged
-            if kind is ModelKind.ED:
-                assert len(calls) == 1
-            else:
-                assert 1 < len(calls) <= 60
+            assert calls["loglik"] == 1
+            assert 1 <= calls["score"] <= 20
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_fit_is_invariant_to_the_units_of_the_data(lawless, kind):
+    # x -> c*x divides the rate by c, keeps the shape and shifts logL by
+    # -n log c; the certificate must not depend on c either
+    rate_index = pgduse.distributions._MODELS[kind].rate_index
+    base = fit_mle(kind, lawless)
+    for k in range(-300, 301, 50):
+        c = 10.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_mle(kind, Dataset(lawless.observations * c))
+        assert result.converged, k
+        for j, (got, want) in enumerate(zip(result.params.as_tuple(), base.params.as_tuple())):
+            expected = want / c if j == rate_index else want
+            assert got == pytest.approx(expected, rel=1e-9), (k, j)
+        shifted = base.log_likelihood - lawless.n * math.log(c)
+        assert result.log_likelihood == pytest.approx(shifted, rel=1e-9), k
+
+
+@pytest.mark.parametrize("values", [[9e307, 9e307, 8e307], [1e-310, 2e-310, 5e-310]])
+def test_sample_scale_outside_the_rate_range_is_a_domain_error(values):
+    # n / sum(x) is 0 when the sum overflows and inf when it is subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = Dataset(values)
+    for kind in ModelKind:
+        with pytest.raises(DomainError, match="rescale"):
+            fit_mle(kind, data)
 
 
 def test_degenerate_sample_is_not_certified():
     # with every observation equal the PGDUSE and GDUSE likelihoods grow
-    # without bound in the rate; the search must stop without raising
-    for data in (Dataset([5.0]), Dataset([3.0, 3.0, 3.0])):
+    # without bound in the rate; the search must stop without raising, also
+    # where the rate it walks to would pass the largest double
+    for data in (Dataset([5.0]), Dataset([3.0, 3.0, 3.0]), Dataset([1e-307] * 3)):
         for kind in (ModelKind.PGDUSE, ModelKind.GDUSE):
             result = fit_mle(kind, data)
             assert not result.converged
