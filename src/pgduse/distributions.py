@@ -14,8 +14,12 @@ ED      1 - exp(-theta*x)                                           theta
 
 Each model is one record in ``_MODELS``: its parameter names and class,
 the position of its rate, the power of x in its density at the origin,
-and its cdf, survival, log-density and quantile kernels.  The public
-functions below look the record up and share one evaluation path.
+and three log kernels, log cdf, log survival and log density, plus its
+quantile.  The public functions below look the record up and share one
+evaluation path: cdf, survival and pdf are ``exp`` of one log kernel,
+and the hazard is exp(log density - log survival).  Past rate*x = 700
+each log survival follows its exponential asymptote, so survival and
+hazard keep their digits after the survival underflows.
 
 Every function here is pure and accepts scalar or array-like evaluation
 points, returning a ``float`` for scalar input and an ``ndarray`` otherwise.
@@ -61,6 +65,7 @@ __all__ = [
 _E = math.e
 _EM1 = math.e - 1.0
 _LOG_EM1 = math.log(math.e - 1.0)
+_LOG_E_EM1 = math.log(math.e / (math.e - 1.0))
 _LN2 = math.log(2.0)
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
@@ -229,10 +234,35 @@ class Dataset:
 # stable building blocks
 # ----------------------------------------------------------------------
 
+# past rate*x = 700 exp(-rate*x) nears the subnormal range, so each log
+# survival switches to its exponential asymptote there; what that drops
+# is of relative size exp(-700) times the shape
+_TAIL = 700.0
+
+
 def _log_f(rate: float, x: np.ndarray) -> np.ndarray:
-    """log F = log(1 - exp(-rate*x)) of the exponential baseline; -inf at 0."""
+    """log F = log(1 - exp(-rate*x)) of the exponential baseline; -inf at 0.
+
+    Where F is near 1 its digits are absolute, which is all its callers
+    need; ``_log1mexp`` keeps the relative ones.
+    """
     with np.errstate(divide="ignore"):
         return np.log(-np.expm1(-rate * x))
+
+
+def _log1mexp(a: np.ndarray) -> np.ndarray:
+    """log(1 - exp(-a)) for a >= 0, with its relative digits at both ends.
+
+    expm1 below a = ln 2 and log1p above it (Maechler 2012), so neither
+    a -> 0 nor a -> inf cancels.  -inf at a = 0.
+    """
+    with np.errstate(divide="ignore"):
+        return np.where(a > _LN2, np.log1p(-np.exp(-a)), np.log(-np.expm1(-a)))
+
+
+def _far_tail(log_sf: np.ndarray, rx: np.ndarray, offset: float) -> np.ndarray:
+    """``log_sf`` with the asymptote offset - rate*x wherever rate*x > _TAIL."""
+    return np.where(rx > _TAIL, offset - rx, log_sf)
 
 
 def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
@@ -245,20 +275,17 @@ def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
     """
     lx = lam * x
     t = -np.expm1(-lx)
-    out = np.empty_like(t)
-    small = t < 0.5
     with np.errstate(divide="ignore"):
-        out[small] = np.log(np.expm1(t[small])) - _LOG_EM1
-    big = ~small
-    z = _E * np.expm1(-np.exp(-lx[big])) / _EM1
-    # float rounding can land a hair below -1 at x = 0
-    out[big] = np.log1p(np.maximum(z, -1.0))
-    return out
+        small = np.log(np.expm1(t)) - _LOG_EM1
+        z = _E * np.expm1(-np.exp(-lx)) / _EM1
+        # float rounding can land a hair below -1 at x = 0
+        big = np.log1p(np.maximum(z, -1.0))
+    return np.where(t < 0.5, small, big)
 
 
 def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr.astype(float, copy=True)), arr.ndim == 0
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def _wrap_output(values: np.ndarray, scalar: bool):
@@ -266,18 +293,20 @@ def _wrap_output(values: np.ndarray, scalar: bool):
 
 
 # ----------------------------------------------------------------------
-# per-model kernels: f(params, x) with x >= 0 (q in [0, 1) for quantiles)
+# per-model log kernels: f(params, x) with x >= 0 (q in [0, 1) for quantiles)
 # ----------------------------------------------------------------------
 
-def _pg_cdf(params, x):
+def _pg_log_cdf(params, x):
     lam, theta = params
-    with np.errstate(over="ignore"):
-        return np.exp(theta * _pg_log_ratio(lam, x))
+    return theta * _pg_log_ratio(lam, x)
 
 
-def _pg_sf(params, x):
+def _pg_log_sf(params, x):
     lam, theta = params
-    return -np.expm1(theta * _pg_log_ratio(lam, x))
+    # log(1 - G1**theta); far out 1 - G1 = e*exp(-lam*x)/(e-1) and the
+    # survival is theta times that
+    return _far_tail(_log1mexp(-theta * _pg_log_ratio(lam, x)), lam * x,
+                     math.log(theta) + _LOG_E_EM1)
 
 
 def _pg_log_pdf(params, x):
@@ -302,18 +331,28 @@ def _unit_shape(pg_kernel):
     return lambda params, x: pg_kernel((params[0], 1.0), x)
 
 
-def _gduse_sf(params, x):
-    """1 - G = -e*expm1(F**alpha - 1)/(e-1), with F**alpha - 1 = expm1(alpha*log F).
+def _log_dus_sf(v):
+    """log(1 - D(1 - v)) = log(e/(e-1)) + log(1 - exp(-v)) for v in [0, 1].
 
-    From beta*x = ln 2 on, log F is a small negative number whose relative
-    digits carry 1 - G, so it is recomputed there as log1p(-exp(-beta*x)).
+    D(u) = expm1(u)/(e-1) is the DUS transform.  Exactly 0 at v = 1, so
+    its exp never rounds above 1.
     """
+    return _LOG_E_EM1 + _log1mexp(v)
+
+
+def _log_dus(u):
+    """log D(u) = log(1 - D(1 - u)) + u - 1, exactly 0 at u = 1."""
+    return _log_dus_sf(u) + (u - 1.0)
+
+
+def _gduse_log_sf(params, x):
+    # 1 - G = 1 - D(F**alpha), and 1 - F**alpha = -expm1(alpha*log F)
+    # keeps its digits because log F = log1mexp(beta*x) keeps its own
+    # where F is a hair below 1
     alpha, beta = params
-    log_f = np.empty_like(x)
-    big = beta * x >= _LN2
-    log_f[~big] = _log_f(beta, x[~big])
-    log_f[big] = np.log1p(-np.exp(-beta * x[big]))
-    return -_E * np.expm1(np.expm1(alpha * log_f)) / _EM1
+    bx = beta * x
+    return _far_tail(_log_dus_sf(-np.expm1(alpha * _log1mexp(bx))), bx,
+                     math.log(alpha) + _LOG_E_EM1)
 
 
 def _gduse_log_pdf(params, x):
@@ -333,26 +372,52 @@ def _gduse_quantile(params, q):
     return -np.log1p(-f) / beta
 
 
+def _kme_log_sf(params, x):
+    # 1 - G = D(exp(-theta*x))
+    tx = params[0] * x
+    return _far_tail(_log_dus(np.exp(-tx)), tx, -_LOG_EM1)
+
+
 _Kernel = Callable[[tuple, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class _Model:
-    """One model: its parameters and its kernels, each written once."""
+    """One model: its parameters and its kernels, each written once.
+
+    The kernels are log G, log(1 - G) and log g, all <= 0 except log g,
+    and the quantile.  Every public function but the quantile is ``exp``
+    of one log kernel, or of log g - log(1 - G) for the hazard.
+    """
 
     param_names: tuple[str, ...]
     param_class: type
     rate_index: int
     # power of x in the density as x -> 0 (negative means a singularity)
     edge_exponent: Callable[[tuple], float]
-    cdf: _Kernel
-    sf: _Kernel
+    log_cdf: _Kernel
+    log_sf: _Kernel
     log_pdf: _Kernel
     quantile: _Kernel
+
+    def cdf(self, params, x):
+        return np.exp(self.log_cdf(params, x))
+
+    def sf(self, params, x):
+        return np.exp(self.log_sf(params, x))
 
     def pdf(self, params, x):
         with np.errstate(over="ignore"):
             return np.exp(self.log_pdf(params, x))
+
+    def hazard(self, params, x):
+        # from rate*x = _TAIL on the hazard is the rate to the last bit.
+        # Holding x there keeps the two logs at -700 rather than -rate*x,
+        # where their rounding would differ by up to ulp(rate*x), and it
+        # gives the rate itself at x = inf
+        x = np.minimum(x, _TAIL / params[self.rate_index])
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_pdf(params, x) - self.log_sf(params, x))
 
 
 def _flat_edge(params) -> float:
@@ -362,33 +427,32 @@ def _flat_edge(params) -> float:
 _MODELS = {
     ModelKind.PGDUSE: _Model(
         ("lambda", "theta"), PgduseParams, 0, lambda p: p[1] - 1.0,
-        cdf=_pg_cdf, sf=_pg_sf, log_pdf=_pg_log_pdf, quantile=_pg_quantile,
+        log_cdf=_pg_log_cdf, log_sf=_pg_log_sf, log_pdf=_pg_log_pdf, quantile=_pg_quantile,
     ),
     ModelKind.GDUSE: _Model(
         ("alpha", "beta"), GduseParams, 1, lambda p: p[0] - 1.0,
-        # G = expm1(F**alpha)/(e-1) keeps its digits where G is tiny
-        cdf=lambda p, x: np.expm1(np.exp(p[0] * _log_f(p[1], x))) / _EM1,
-        sf=_gduse_sf,
+        log_cdf=lambda p, x: _log_dus(np.exp(p[0] * _log_f(p[1], x))),
+        log_sf=_gduse_log_sf,
         log_pdf=_gduse_log_pdf,
         quantile=_gduse_quantile,
     ),
     ModelKind.DUSE: _Model(
         ("a",), ScalarParam, 0, _flat_edge,
-        *map(_unit_shape, (_pg_cdf, _pg_sf, _pg_log_pdf, _pg_quantile)),
+        *map(_unit_shape, (_pg_log_cdf, _pg_log_sf, _pg_log_pdf, _pg_quantile)),
     ),
-    # KME: 1 - G = expm1(exp(-theta x))/(e-1); the cdf is written through
-    # expm1(-theta x) = -F so it stays accurate for small x where G is tiny
+    # KME: G = 1 - D(1 - F), with F = -expm1(-theta*x) so the cdf stays
+    # accurate for small x where G is tiny
     ModelKind.KME: _Model(
         ("theta",), ScalarParam, 0, _flat_edge,
-        cdf=lambda p, x: -_E * np.expm1(np.expm1(-p[0] * x)) / _EM1,
-        sf=lambda p, x: np.expm1(np.exp(-p[0] * x)) / _EM1,
+        log_cdf=lambda p, x: _log_dus_sf(-np.expm1(-p[0] * x)),
+        log_sf=_kme_log_sf,
         log_pdf=lambda p, x: 1.0 - _LOG_EM1 + math.log(p[0]) - p[0] * x + np.expm1(-p[0] * x),
         quantile=lambda p, q: -np.log1p(np.log1p(-q * _EM1 / _E)) / p[0],
     ),
     ModelKind.ED: _Model(
         ("theta",), ScalarParam, 0, _flat_edge,
-        cdf=lambda p, x: -np.expm1(-p[0] * x),
-        sf=lambda p, x: np.exp(-p[0] * x),
+        log_cdf=lambda p, x: _log_f(p[0], x),
+        log_sf=lambda p, x: -p[0] * x,
         log_pdf=lambda p, x: math.log(p[0]) - p[0] * x,
         quantile=lambda p, q: -np.log1p(-q) / p[0],
     ),
@@ -396,17 +460,19 @@ _MODELS = {
 
 
 def _on_support(kernel: _Kernel, params, arr: np.ndarray, fill: float, closed: bool):
-    """``kernel`` on x > 0 (x >= 0 if ``closed``), ``fill`` below, NaN kept."""
-    out = np.full_like(arr, fill)
-    keep = arr >= 0.0 if closed else arr > 0.0
-    if np.any(keep):
-        out[keep] = kernel(params, arr[keep])
-    out[np.isnan(arr)] = np.nan
+    """``kernel`` on every point, then ``fill`` below 0 (and at 0 unless ``closed``).
+
+    The kernel sees the points off the support too, so its warnings are
+    silenced; NaN passes through it as NaN.
+    """
+    with np.errstate(all="ignore"):
+        out = kernel(params, arr)
+    out[arr < 0.0 if closed else arr <= 0.0] = fill
     return out
 
 
 def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
-              closed: bool = False, clip: bool = False):
+              closed: bool = False):
     """The public path: validate, evaluate one kernel of the record, wrap.
 
     One float on the support, the quadrature oracles' case, skips the
@@ -415,11 +481,9 @@ def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
     params = _coerce(kind, p)
     kernel = getattr(_MODELS[kind], kernel_name)
     if isinstance(x, float) and (x >= 0.0 if closed else x > 0.0):
-        out = kernel(params, np.array([x]))
-        return float(np.clip(out, 0.0, 1.0)[0] if clip else out[0])
+        return float(kernel(params, np.array([x]))[0])
     arr, scalar = _split_input(x)
-    out = _on_support(kernel, params, arr, fill, closed)
-    return _wrap_output(np.clip(out, 0.0, 1.0) if clip else out, scalar)
+    return _wrap_output(_on_support(kernel, params, arr, fill, closed), scalar)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +501,7 @@ def cdf(kind: ModelKind, p, x: ArrayLike):
     x : float or array-like
         Evaluation points; values below 0 return 0 by convention.
     """
-    return _evaluate(kind, p, x, "cdf", 0.0, clip=True)
+    return _evaluate(kind, p, x, "cdf", 0.0)
 
 
 def pdf(kind: ModelKind, p, x: ArrayLike):
@@ -459,28 +523,23 @@ def log_pdf(kind: ModelKind, p, x: ArrayLike):
 
 
 def survival(kind: ModelKind, p, x: ArrayLike):
-    """Survival function 1 - cdf, kept accurate where the cdf is near 1."""
-    return _evaluate(kind, p, x, "sf", 1.0, clip=True)
+    """Survival function 1 - cdf, as ``exp`` of its own log kernel.
+
+    It keeps its relative digits where the cdf is near 1, and it is 0
+    only where the true value underflows.
+    """
+    return _evaluate(kind, p, x, "sf", 1.0)
 
 
 def hazard(kind: ModelKind, p, x: ArrayLike):
-    """Failure-rate function pdf / survival.
+    """Failure-rate function pdf / survival, as exp(log_pdf - log survival).
 
-    Where the survival function underflows to exactly 0 the hazard is
-    reported as ``inf``.
+    Finite wherever the density is: it keeps its digits after the
+    survival underflows, and tends to the model's rate (lambda, beta,
+    theta, theta, theta) as x -> inf, which is its value at x = inf.
+    At x = 0 it is pdf(0); below 0 it is 0.
     """
-    params = _coerce(kind, p)
-    model = _MODELS[kind]
-    arr, scalar = _split_input(x)
-    g = _on_support(model.pdf, params, arr, 0.0, closed=True)
-    s = np.clip(_on_support(model.sf, params, arr, 1.0, closed=False), 0.0, 1.0)
-    out = np.empty_like(g)
-    dead = s == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[~dead] = g[~dead] / s[~dead]
-    out[dead] = np.inf
-    out[np.isnan(arr)] = np.nan
-    return _wrap_output(out, scalar)
+    return _evaluate(kind, p, x, "hazard", 0.0, closed=True)
 
 
 def quantile(kind: ModelKind, p, q: ArrayLike):

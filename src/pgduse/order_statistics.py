@@ -21,10 +21,12 @@ from scipy.special import betainc
 
 from .distributions import (
     _LOG_EM1,
+    _MODELS,
     ArrayLike,
     ModelKind,
     PgduseParams,
     _coerce,
+    _on_support,
     _pg_log_ratio,
     _split_input,
     _wrap_output,
@@ -58,29 +60,26 @@ def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     0 * inf products that a naive ``G**(r-1) * g`` hits at the origin
     (where G = 0 while g may diverge) resolve to the correct limit.
     """
-    lam, theta = _coerce(ModelKind.PGDUSE, p)
-    arr, scalar = _split_input(x)
+    params = _coerce(ModelKind.PGDUSE, p)
     n, r = spec.n, spec.r
     log_coef = math.log(r) + math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-    out = np.zeros_like(arr)
-    ok = arr >= 0.0
-    xs = arr[ok]
-    log_g1 = _pg_log_ratio(lam, xs)
-    # log(G**(r-1) * g) = log(theta*lam) + 1 - lam*x - exp(-lam*x) - log(e-1)
-    #                     + (r*theta - 1)*log G1
-    logs = (
-        log_coef + math.log(theta) + math.log(lam) + 1.0 - _LOG_EM1 - lam * xs - np.exp(-lam * xs)
-    )
-    merged = r * theta - 1.0
-    if merged != 0.0:
-        logs = logs + merged * log_g1
-    if n > r:
-        with np.errstate(divide="ignore"):
-            logs = logs + (n - r) * np.log(-np.expm1(theta * log_g1))
-    with np.errstate(over="ignore"):
-        out[ok] = np.exp(logs)
-    out[np.isnan(arr)] = np.nan
-    return _wrap_output(out, scalar)
+    log_sf = _MODELS[ModelKind.PGDUSE].log_sf
+
+    def kernel(params, xs):
+        lam, theta = params
+        # log(G**(r-1) * g) = log(theta*lam) + 1 - lam*x - exp(-lam*x) - log(e-1)
+        #                     + (r*theta - 1)*log G1
+        logs = (log_coef + math.log(theta) + math.log(lam) + 1.0 - _LOG_EM1
+                - lam * xs - np.exp(-lam * xs))
+        merged = r * theta - 1.0
+        if merged != 0.0:
+            logs = logs + merged * _pg_log_ratio(lam, xs)
+        if n > r:
+            logs = logs + (n - r) * log_sf(params, xs)
+        return np.exp(logs)
+
+    arr, scalar = _split_input(x)
+    return _wrap_output(_on_support(kernel, params, arr, 0.0, closed=True), scalar)
 
 
 def order_stat_cdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):

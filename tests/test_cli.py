@@ -124,6 +124,13 @@ def test_eval_cdf_value(capsys):
     assert doc["values"][0]["value"] == pytest.approx(0.26323934972685736, rel=1e-10)
 
 
+def test_eval_hazard_past_survival_underflow(capsys):
+    code, out, _ = run(capsys, "eval", "--model", "ed", "--params", "1",
+                       "--fn", "hazard", "--at", "1e6")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["1000000", "1"]
+
+
 def test_eval_quantile_zero_and_domain_error_row(capsys):
     code, out, _ = run(capsys, "eval", "--model", "pgduse", "--params", "1,2",
                        "--fn", "quantile", "--at", "0,1,0.5", "--format", "json")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,9 +243,131 @@ def test_gduse_survival_keeps_its_upper_tail(x, expected):
     assert abs(got - expected) <= 1e-13 * expected
 
 
-def test_hazard_infinite_when_survival_underflows():
+# the hazard tends to the rate as x -> inf: lambda, beta, theta, theta, theta
+_RATED = [
+    (ModelKind.PGDUSE, (1.3, 2.5), 1.3),
+    (ModelKind.PGDUSE, (1.0, 0.5), 1.0),
+    (ModelKind.GDUSE, (0.5, 2.3), 2.3),
+    (ModelKind.GDUSE, (2.0, 0.7), 0.7),
+    (ModelKind.DUSE, (0.8,), 0.8),
+    (ModelKind.KME, (1.5,), 1.5),
+    (ModelKind.ED, (2.0,), 2.0),
+]
+
+
+def test_hazard_finite_when_survival_underflows():
     assert survival(ModelKind.ED, (1.0,), 1e6) == 0.0
-    assert hazard(ModelKind.ED, (1.0,), 1e6) == math.inf
+    assert hazard(ModelKind.ED, (1.0,), 1e6) == 1.0
+    for kind, params, rate in _RATED:
+        for rx in (745.0, 1e4, 1e6):
+            assert hazard(kind, params, rx / rate) == pytest.approx(rate, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, params, rate", _RATED, ids=lambda v: str(v))
+def test_hazard_edge_values(kind, params, rate):
+    points = (math.inf, math.nan, -1.0, 0.0)
+    expected = (rate, math.nan, 0.0, pdf(kind, params, 0.0))
+    as_array = hazard(kind, params, np.array(points))
+    for x, want, got in zip(points, expected, as_array):
+        for value in (hazard(kind, params, x), got):
+            if math.isnan(want):
+                assert math.isnan(value)
+            elif x == math.inf:
+                assert value == pytest.approx(want, rel=1e-12)
+            else:
+                assert value == want
+    if kind is ModelKind.GDUSE and params[0] < 1.0:
+        assert as_array[3] == math.inf
+
+
+# ----------------------------------------------------------------------
+# the whole surface against mpmath, from x = 1e-300/rate to 1e6/rate
+# ----------------------------------------------------------------------
+
+def _mp_logs(kind, params, rate, x):
+    """log G, log(1 - G) and log g at the working precision.
+
+    Every difference from 1 goes through expm1 or log1p, so the reference
+    keeps its digits at x = 1e-300 and past the underflow of the survival.
+    """
+    rx = mpmath.mpf(rate) * mpmath.mpf(x)
+    d = mpmath.exp(-rx)
+    big_f = -mpmath.expm1(-rx)
+    log_f = mpmath.log(big_f) if rx < 1 else mpmath.log1p(-d)
+    log_em1 = mpmath.log(mpmath.e - 1)
+    if kind in (ModelKind.PGDUSE, ModelKind.DUSE):
+        theta = mpmath.mpf(params[1]) if kind is ModelKind.PGDUSE else 1
+        if rx < 1:
+            log_g1 = mpmath.log(mpmath.expm1(big_f)) - log_em1
+        else:
+            log_g1 = mpmath.log1p(mpmath.e * mpmath.expm1(-d) / (mpmath.e - 1))
+        return (theta * log_g1, mpmath.log(-mpmath.expm1(theta * log_g1)),
+                mpmath.log(theta * rate) + (theta - 1) * log_g1 - rx + big_f - log_em1)
+    if kind is ModelKind.GDUSE:
+        alpha = mpmath.mpf(params[0])
+        fa = mpmath.exp(alpha * log_f)
+        return (mpmath.log(mpmath.expm1(fa)) - log_em1,
+                1 - log_em1 + mpmath.log(-mpmath.expm1(mpmath.expm1(alpha * log_f))),
+                mpmath.log(alpha * rate) + (alpha - 1) * log_f + fa - rx - log_em1)
+    if kind is ModelKind.KME:
+        return (1 - log_em1 + mpmath.log(-mpmath.expm1(-big_f)),
+                mpmath.log(mpmath.expm1(d)) - log_em1,
+                1 - log_em1 + mpmath.log(rate) - rx - big_f)
+    return log_f, -rx, mpmath.log(rate) - rx
+
+
+_SWEEP_FNS = {
+    cdf: lambda lc, ls, lp: lc,
+    survival: lambda lc, ls, lp: ls,
+    pdf: lambda lc, ls, lp: lp,
+    log_pdf: lambda lc, ls, lp: lp,
+    hazard: lambda lc, ls, lp: lp - ls,
+}
+_SWEEP_POINTS = (1e-300, 1e-100, 1e-30, 1e-10, 1e-5, 1e-3, 0.01, 0.1, 0.5, 1.0,
+                 2.0, 5.0, 10.0, 20.0, 40.0, 100.0, 300.0, 720.0, 1e4, 1e6)
+_EPS = float(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kind, params, rate", [
+    (ModelKind.PGDUSE, (1.0, 1e-3), 1.0),
+    (ModelKind.PGDUSE, (3.0, 1e6), 3.0),
+    (ModelKind.PGDUSE, (0.5, 1e17), 0.5),
+    (ModelKind.PGDUSE, (1.3, 2.5), 1.3),
+    (ModelKind.GDUSE, (1e-3, 1.0), 1.0),
+    (ModelKind.GDUSE, (50.0, 0.7), 0.7),
+    (ModelKind.GDUSE, (0.5, 2.3), 2.3),
+    (ModelKind.DUSE, (0.8,), 0.8),
+    (ModelKind.KME, (1.5,), 1.5),
+    (ModelKind.KME, (1e-3,), 1e-3),
+    (ModelKind.ED, (2.0,), 2.0),
+], ids=lambda v: str(v))
+def test_surface_matches_mpmath(kind, params, rate):
+    # Compared in log space.  The bound is 1e-12 plus 16 ulp of |log v|
+    # and of the condition number |x d(log v)/dx|, which measures what
+    # rounding x itself costs (about rate*x for the survival far out)
+    xs = np.array(_SWEEP_POINTS) / rate
+    misses = []
+    with mpmath.workdps(50):
+        for fn, pick in _SWEEP_FNS.items():
+            got = fn(kind, params, xs)
+            for x, value in zip(xs, got):
+                def log_v(t):
+                    return pick(*_mp_logs(kind, params, rate, mpmath.exp(t)))
+
+                t, h = mpmath.log(x), mpmath.mpf("1e-12")
+                want = log_v(t)
+                slope = (log_v(t + h) - log_v(t - h)) / (2 * h)
+                tol = 1e-12 + 16 * _EPS * float(abs(want) + abs(slope))
+                if fn is log_pdf:
+                    err = abs(value - float(want))
+                elif mpmath.exp(want) < np.finfo(float).tiny:
+                    # subnormal or underflowed: only absolute digits remain
+                    err = 0.0 if abs(value - float(mpmath.exp(want))) <= 1e-320 else math.inf
+                else:
+                    err = abs(math.log(value) - float(want)) if value > 0.0 else math.inf
+                if not err <= tol:
+                    misses.append((fn.__name__, float(x), value, float(mpmath.exp(want))))
+    assert misses == []
 
 
 # ----------------------------------------------------------------------
