@@ -4,9 +4,10 @@ Each analytic quantity comes in two independent routes:
 
 * a series route that expands ``(exp(1 - exp(-lam*x)) - 1)**(theta - 1)``
   with the generalized binomial theorem and integrates term by term, and
-* an adaptive-quadrature route that integrates the density directly.
-  It validates the parameters once; each node is one float, which
-  ``pdf`` hands straight to the model's kernel.
+* a quadrature route that integrates the density directly: one
+  tanh-sinh integral of a log-space integrand over the half-line, its
+  nodes passed to ``log_pdf`` as arrays, or for the cf QUADPACK's
+  Fourier weights, one float per node, straight to the density kernel.
 
 The series route is exact term-for-term for integer ``theta`` (the
 expansion terminates), and for non-integer ``theta`` the terms decay like
@@ -39,7 +40,7 @@ from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, tanhsinh
 from scipy.special import gammaln, zeta
 
 from .distributions import (
@@ -47,6 +48,7 @@ from .distributions import (
     ModelKind,
     PgduseParams,
     _coerce,
+    log_pdf,
     pdf,
     quantile,
 )
@@ -71,8 +73,8 @@ __all__ = [
     "kurtosis",
 ]
 
-_E = math.e
 _EM1 = math.e - 1.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -91,16 +93,15 @@ class SeriesOptions:
 
 @dataclass(frozen=True)
 class QuadOptions:
-    """Accuracy controls for the adaptive-quadrature routes."""
+    """Relative accuracy of the quadrature routes: a tanh-sinh integral
+    whose summed error estimate exceeds ``rel_tol`` times its value is
+    refused, and a flagged QUADPACK one (the cf) past 1000 times that."""
 
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if self.max_subdivisions < 10:
-            raise DomainError(f"max_subdivisions must be >= 10, got {self.max_subdivisions!r}")
 
 
 # ----------------------------------------------------------------------
@@ -209,11 +210,11 @@ def _binomial_series(
     h_neg: Callable,
     tail_exponent: float,
     opts: SeriesOptions,
-    complex_valued: bool = False,
 ):
     """Sum over k of C(power, k) * (-1)**k * E[h(M)], M ~ Poisson(k - shift).
 
     ``h_vec`` is h on an array of m; ``h_neg(w)`` is the mean at k - shift = -w.
+    A complex h gives a complex sum.
 
     Stops when two consecutive terms fall below ``abs_tol`` (exact
     termination for nonnegative-integer ``power``).  If the budget runs out
@@ -223,7 +224,7 @@ def _binomial_series(
     cross-checks the fit; any mismatch raises :class:`SeriesDivergence`.
     """
     coeff = 1.0
-    total = 0j if complex_valued else 0.0
+    total = 0.0
     terms: list = []
     below = 0
     for k in range(opts.max_terms):
@@ -256,10 +257,7 @@ def _binomial_series(
 
     nodes = [count - 1, int(0.8 * (count - 1)), int(0.65 * (count - 1)), int(0.5 * (count - 1))]
     matrix = np.array([[kk ** -float(i) for i in range(4)] for kk in nodes])
-    rhs = np.array(
-        [terms[kk] * float(kk) ** tail_exponent for kk in nodes],
-        dtype=complex if complex_valued else float,
-    )
+    rhs = np.array([terms[kk] * float(kk) ** tail_exponent for kk in nodes])
     coefs = np.linalg.solve(matrix, rhs)
     probe = int(0.57 * (count - 1))
     predicted = sum(coefs[i] * probe ** -float(i) for i in range(4)) * probe ** -tail_exponent
@@ -274,29 +272,46 @@ def _binomial_series(
 # ----------------------------------------------------------------------
 
 def _validated(kind: ModelKind, p):
-    """``p`` checked once: its floats, and the typed vector that ``pdf``
-    and ``quantile`` accept at every quadrature node without checking it
-    again."""
+    """``p`` checked once: its floats, and the typed vector that ``pdf``,
+    ``log_pdf`` and ``quantile`` accept at every quadrature node without
+    checking it again."""
     params = _coerce(kind, p)
     return params, _MODELS[kind].param_class(*params)
 
 
-def _upper_limit(kind: ModelKind, typed, decay_rate: float, margin_rate: float = 1.0) -> float:
-    """Integration cutoff: the far quantile plus an exponential-decay margin."""
-    top = float(quantile(kind, typed, 1.0 - 1e-13))
-    return top + 45.0 / (decay_rate * margin_rate)
+# the cuts of ``_integral``: the quantiles at 0, 2**-k and 1 - 2**-k,
+# k = 50..1.  Each interval holds half the mass of its neighbour towards
+# the median, so the nodes follow the density into both tails
+_CUT_LEVELS = np.concatenate(([0.0], 2.0 ** -np.arange(50, 0, -1), 1.0 - 2.0 ** -np.arange(2, 51)))
 
 
-def _interior_points(kind: ModelKind, typed) -> list[float]:
-    return [float(quantile(kind, typed, q)) for q in (0.25, 0.5, 0.75)]
+def _integral(kind: ModelKind, typed, log_integrand: Callable, opts: QuadOptions) -> float:
+    """Integral of exp(log_integrand(x)) > 0 over the half-line, by tanh-sinh.
+
+    One vectorised ``tanhsinh`` call covers the intervals between the cut
+    quantiles (merged where they round together, as the lower ones do at
+    small shapes) and out to +inf; the double-exponential map takes the
+    singularity at 0 and the infinite limit.  In log space exp(t*x) * pdf
+    never overflows; endpoint nodes get no weight, so their warnings are
+    silenced.  An unconverged interval's error estimate bounds nothing, so
+    it may hold at most an ulp of the value, as tails that underflow do.
+    """
+    cuts = np.unique(quantile(kind, typed, _CUT_LEVELS))
+    with np.errstate(all="ignore"):
+        res = tanhsinh(lambda x: np.exp(log_integrand(x)), cuts, np.append(cuts[1:], np.inf),
+                       rtol=opts.rel_tol)
+    value, abserr = float(np.sum(res.integral)), float(np.sum(res.error))
+    stray = float(np.sum((res.integral + res.error)[res.status != 0]))
+    if not (0.0 < value < math.inf and abserr <= opts.rel_tol * value and stray <= _EPS * value):
+        raise QuadFailure(f"tanh-sinh quadrature failed: value={value!r}, abserr={abserr!r}, "
+                          f"{np.count_nonzero(res.status)} of {res.status.size} intervals open")
+    return value
 
 
-def _checked_quad(func, lo, hi, opts: QuadOptions, points=None, weight=None, wvar=None):
-    kwargs = dict(epsabs=1e-300, epsrel=opts.rel_tol, limit=opts.max_subdivisions, full_output=1)
+def _checked_quad(func, lo, hi, opts: QuadOptions, weight=None, wvar=None):
+    kwargs = dict(epsabs=1e-300, epsrel=opts.rel_tol, limit=2000, full_output=1)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar, epsabs=1e-14)
-    elif points is not None:
-        kwargs.update(points=[p for p in points if lo < p < hi])
     result = quad(func, lo, hi, **kwargs)
     value, abserr = result[0], result[1]
     if len(result) > 3 or not math.isfinite(value):
@@ -330,39 +345,35 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     r = int(r)
     prefactor = theta * math.factorial(r) / (_EM1 ** theta * lam ** r)
     exponent = -(r + 1.0)
-
-    def h_vec(m):
-        return (m + 1.0) ** exponent
-
-    def h_neg(w):
-        return _power_mean(r + 1, w)
-
-    kernel = _binomial_series(theta - 1.0, theta, h_vec, h_neg, theta + r + 1.0, opts)
+    kernel = _binomial_series(theta - 1.0, theta, lambda m: (m + 1.0) ** exponent,
+                              lambda w: _power_mean(r + 1, w), theta + r + 1.0, opts)
     return prefactor * kernel
 
 
 def raw_moment_quadrature(
     kind: ModelKind, p, r: int, opts: QuadOptions = QuadOptions()
 ) -> float:
-    """r-th raw moment by adaptive quadrature of ``x**r * pdf(x)``.
+    """r-th raw moment: the integral of exp(r*log(x) + log_pdf(x)).
 
-    Integrates over [0, quantile(1 - 1e-12)]; serves as the independent
-    oracle for :func:`raw_moment_series`.
+    The independent oracle for :func:`raw_moment_series`.
     """
     if r < 1 or int(r) != r:
         raise DomainError(f"moment order must be a positive integer, got {r!r}")
     _, typed = _validated(kind, p)
-    top = float(quantile(kind, typed, 1.0 - 1e-12))
-
-    def integrand(x):
-        return x ** r * pdf(kind, typed, x)
-
-    return _checked_quad(integrand, 0.0, top, opts, points=_interior_points(kind, typed))
+    return _integral(kind, typed, lambda x: r * np.log(x) + log_pdf(kind, typed, x), opts)
 
 
 # ----------------------------------------------------------------------
 # generating functions
 # ----------------------------------------------------------------------
+
+def _generating_series(lam: float, theta: float, tau, opts: SeriesOptions):
+    """E[exp(tau X)] by the binomial series, for real tau < lam or imaginary tau."""
+    prefactor = theta * lam / _EM1 ** theta
+    kernel = _binomial_series(theta - 1.0, theta, lambda m: 1.0 / (lam * (m + 1.0) - tau),
+                              lambda w: _reciprocal_mean(w, 1.0, tau, lam), theta + 1.0, opts)
+    return prefactor * kernel
+
 
 def mgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> float:
     """Moment generating function E[exp(t X)]; finite only for t < lam."""
@@ -370,69 +381,41 @@ def mgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> flo
     t = float(t)
     if t >= lam:
         raise DomainError(f"mgf requires t < lambda ({lam:g}), got t={t:g}")
-    prefactor = theta * lam / _EM1 ** theta
-
-    def h_vec(m):
-        return 1.0 / (lam * (m + 1.0) - t)
-
-    def h_neg(w):
-        return _reciprocal_mean(w, 1.0, t, lam)
-
-    kernel = _binomial_series(theta - 1.0, theta, h_vec, h_neg, theta + 1.0, opts)
-    return prefactor * kernel
+    return _generating_series(lam, theta, t, opts)
 
 
 def mgf_quadrature(p: PgduseParams, t: float, opts: QuadOptions = QuadOptions()) -> float:
-    """Quadrature oracle for :func:`mgf`: integral of exp(t*x) * pdf(x)."""
+    """Quadrature oracle for :func:`mgf`: the integral of exp(t*x + log_pdf(x))."""
     (lam, _), typed = _validated(ModelKind.PGDUSE, p)
     t = float(t)
     if t >= lam:
         raise DomainError(f"mgf requires t < lambda ({lam:g}), got t={t:g}")
-    top = _upper_limit(ModelKind.PGDUSE, typed, lam - t if t > 0.0 else lam)
-
-    def integrand(x):
-        return math.exp(t * x) * pdf(ModelKind.PGDUSE, typed, x)
-
-    return _checked_quad(
-        integrand, 0.0, top, opts, points=_interior_points(ModelKind.PGDUSE, typed)
-    )
+    return _integral(ModelKind.PGDUSE, typed,
+                     lambda x: t * x + log_pdf(ModelKind.PGDUSE, typed, x), opts)
 
 
 def cf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> complex:
     """Characteristic function E[exp(i t X)]; the mgf series at i*t."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    t = float(t)
-    prefactor = theta * lam / _EM1 ** theta
-
-    def h_vec(m):
-        return 1.0 / (lam * (m + 1.0) - 1j * t)
-
-    def h_neg(w):
-        return _reciprocal_mean(w, 1.0, 1j * t, lam)
-
-    kernel = _binomial_series(
-        theta - 1.0, theta, h_vec, h_neg, theta + 1.0, opts, complex_valued=True
-    )
-    return complex(prefactor * kernel)
+    return complex(_generating_series(lam, theta, 1j * float(t), opts))
 
 
 def cf_quadrature(p: PgduseParams, t: float, opts: QuadOptions = QuadOptions()) -> complex:
     """Oscillatory-quadrature oracle for :func:`cf`.
 
-    Uses the QUADPACK cosine/sine weights on the bulk of the support; an
-    initial plain-quadrature slice absorbs the integrable density
-    singularity at 0 when theta < 1.
+    At t = 0 it is the integral of the density.  Otherwise, since
+    tanh-sinh cannot certify a Fourier integral at large |t|/lambda, it
+    uses the QUADPACK cosine/sine weights on the bulk of the support; an
+    initial plain slice absorbs the density singularity at 0 (theta < 1).
     """
     (lam, _), typed = _validated(ModelKind.PGDUSE, p)
     t = float(t)
-    density = lambda x: pdf(ModelKind.PGDUSE, typed, x)
     if t == 0.0:
-        top0 = float(quantile(ModelKind.PGDUSE, typed, 1.0 - 1e-13))
-        value = _checked_quad(
-            density, 0.0, top0, opts, points=_interior_points(ModelKind.PGDUSE, typed)
-        )
-        return complex(value, 0.0)
-    top = _upper_limit(ModelKind.PGDUSE, typed, lam)
+        return complex(_integral(ModelKind.PGDUSE, typed,
+                                 lambda x: log_pdf(ModelKind.PGDUSE, typed, x), opts))
+    density = lambda x: pdf(ModelKind.PGDUSE, typed, x)
+    # the cutoff: the far quantile plus an exponential-decay margin
+    top = float(quantile(ModelKind.PGDUSE, typed, 1.0 - 1e-13)) + 45.0 / lam
     split = min(0.05 / abs(t), top / 8.0)
     re = _checked_quad(lambda x: math.cos(t * x) * density(x), 0.0, split, opts)
     im = _checked_quad(lambda x: math.sin(t * x) * density(x), 0.0, split, opts)
@@ -456,7 +439,7 @@ def cgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> com
 def renyi_entropy(
     kind: ModelKind, p, delta: float, opts: QuadOptions = QuadOptions()
 ) -> float:
-    """Renyi entropy of order delta: log(integral of pdf**delta) / (1 - delta).
+    """Renyi entropy of order delta: log(integral of exp(delta*log_pdf)) / (1 - delta).
 
     Quadrature is the primary definition here.  For shape parameters below
     1 the density blows up at 0 and ``pdf**delta`` stops being integrable
@@ -467,19 +450,11 @@ def renyi_entropy(
     if delta <= 0.0 or delta == 1.0:
         raise DomainError(f"Renyi order must be positive and != 1, got {delta!r}")
     params, typed = _validated(kind, p)
-    model = _MODELS[kind]
-    if delta * model.edge_exponent(params) <= -1.0:
+    if delta * _MODELS[kind].edge_exponent(params) <= -1.0:
         raise QuadFailure(
             f"pdf**{delta:g} is not integrable at 0 for {kind.value} with these parameters"
         )
-    top = _upper_limit(kind, typed, params[model.rate_index], margin_rate=min(delta, 1.0))
-
-    def integrand(x):
-        return pdf(kind, typed, x) ** delta
-
-    value = _checked_quad(integrand, 0.0, top, opts, points=_interior_points(kind, typed))
-    if value <= 0.0:
-        raise QuadFailure("integral of pdf**delta came out non-positive")
+    value = _integral(kind, typed, lambda x: delta * log_pdf(kind, typed, x), opts)
     return math.log(value) / (1.0 - delta)
 
 
@@ -506,14 +481,8 @@ def renyi_entropy_series(
     lam, theta = _coerce(ModelKind.PGDUSE, p)
     power = delta * (theta - 1.0)
     prefactor = (theta * lam) ** delta / (lam * _EM1 ** (theta * delta))
-
-    def h_vec(m):
-        return 1.0 / (m + delta)
-
-    def h_neg(w):
-        return _reciprocal_mean(w, delta)
-
-    kernel = _binomial_series(power, delta * theta, h_vec, h_neg, power + 2.0, opts)
+    kernel = _binomial_series(power, delta * theta, lambda m: 1.0 / (m + delta),
+                              lambda w: _reciprocal_mean(w, delta), power + 2.0, opts)
     value = prefactor * kernel
     if value <= 0.0:
         raise SeriesDivergence("series for the entropy integral lost positivity")

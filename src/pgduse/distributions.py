@@ -238,14 +238,13 @@ class Dataset:
 # survival switches to its exponential asymptote there; what that drops
 # is of relative size exp(-700) times the shape
 _TAIL = 700.0
+# past a relative exp(-40) = 4e-18, below half an ulp, an asymptote is exact
+_PLAIN = 40.0
 
 
 def _log_f(rate: float, x: np.ndarray) -> np.ndarray:
-    """log F = log(1 - exp(-rate*x)) of the exponential baseline; -inf at 0.
-
-    Where F is near 1 its digits are absolute, which is all its callers
-    need; ``_log1mexp`` keeps the relative ones.
-    """
+    """log F = log(1 - exp(-rate*x)), -inf at 0, with the absolute digits near
+    F = 1 that its callers need; ``_log1mexp`` keeps the relative ones."""
     with np.errstate(divide="ignore"):
         return np.log(-np.expm1(-rate * x))
 
@@ -260,9 +259,16 @@ def _log1mexp(a: np.ndarray) -> np.ndarray:
         return np.where(a > _LN2, np.log1p(-np.exp(-a)), np.log(-np.expm1(-a)))
 
 
-def _far_tail(log_sf: np.ndarray, rx: np.ndarray, offset: float) -> np.ndarray:
-    """``log_sf`` with the asymptote offset - rate*x wherever rate*x > _TAIL."""
-    return np.where(rx > _TAIL, offset - rx, log_sf)
+def _far_tail(log_sf: np.ndarray, rx: np.ndarray, offset: float, exact=None) -> np.ndarray:
+    """``log_sf`` with its asymptote y = offset - rate*x wherever rate*x > _TAIL.
+
+    y is off by a relative exp(y), which shows only at shapes past about
+    e**660; there the model's ``exact(y)`` is used while y > -_PLAIN.
+    """
+    far = offset - rx
+    if exact is not None and offset > _TAIL - _PLAIN:
+        far = np.where(far > -_PLAIN, exact(far), far)
+    return np.where(rx > _TAIL, far, log_sf)
 
 
 def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
@@ -303,10 +309,10 @@ def _pg_log_cdf(params, x):
 
 def _pg_log_sf(params, x):
     lam, theta = params
-    # log(1 - G1**theta); far out 1 - G1 = e*exp(-lam*x)/(e-1) and the
-    # survival is theta times that
+    # log(1 - G1**theta); far out 1 - G1 = e*exp(-lam*x)/(e-1), and the
+    # survival is 1 - exp(-theta times that)
     return _far_tail(_log1mexp(-theta * _pg_log_ratio(lam, x)), lam * x,
-                     math.log(theta) + _LOG_E_EM1)
+                     math.log(theta) + _LOG_E_EM1, lambda y: _log1mexp(np.exp(y)))
 
 
 def _pg_log_pdf(params, x):
@@ -321,9 +327,20 @@ def _pg_log_pdf(params, x):
 
 
 def _pg_quantile(params, q):
+    # G1 = q**(1/theta); 1 - G1 = -expm1(log(q)/theta) keeps the upper tail
+    # at any theta, and the direct form below G1 = 1/4 (lam*x < 0.44) x's
+    # relative digits.  y = -lam*x is built in place, cheaper on samples
     lam, theta = params
-    w = np.log1p(np.power(q, 1.0 / theta) * _EM1)
-    return -np.log1p(-w) / lam
+    y = np.log(q)
+    y *= 1.0 / theta
+    np.expm1(y, out=y)
+    y *= _EM1 / _E
+    np.log1p(y, out=y)
+    np.log(np.negative(y, out=y), out=y)
+    low = q < 0.25 ** theta
+    y[low] = np.log1p(-np.log1p(np.power(q[low], 1.0 / theta) * _EM1))
+    y *= -1.0 / lam
+    return y
 
 
 def _unit_shape(pg_kernel):
@@ -346,30 +363,39 @@ def _log_dus(u):
 
 
 def _gduse_log_sf(params, x):
-    # 1 - G = 1 - D(F**alpha), and 1 - F**alpha = -expm1(alpha*log F)
-    # keeps its digits because log F = log1mexp(beta*x) keeps its own
-    # where F is a hair below 1
+    # 1 - G = 1 - D(F**alpha), and 1 - F**alpha = -expm1(alpha*log F);
+    # far out that is 1 - exp(-alpha*exp(-beta*x))
     alpha, beta = params
     bx = beta * x
     return _far_tail(_log_dus_sf(-np.expm1(alpha * _log1mexp(bx))), bx,
-                     math.log(alpha) + _LOG_E_EM1)
+                     math.log(alpha) + _LOG_E_EM1,
+                     lambda y: _log_dus_sf(-np.expm1(-np.exp(y - _LOG_E_EM1))))
 
 
 def _gduse_log_pdf(params, x):
+    # log F = log1mexp(beta*x) keeps its relative digits where F is a
+    # hair below 1, which alpha - 1 scales
     alpha, beta = params
-    log_f = _log_f(beta, x)
+    bx = beta * x
+    log_f = _log1mexp(bx)
     fa = np.exp(alpha * log_f)
-    out = math.log(alpha) + math.log(beta) - _LOG_EM1 - beta * x + fa
+    out = math.log(alpha) + math.log(beta) - _LOG_EM1 - bx + fa
     if alpha != 1.0:
         out = out + (alpha - 1.0) * log_f
     return out
 
 
 def _gduse_quantile(params, q):
+    # F = w**(1/alpha), w = log1p(q*(e-1)); 1 - F = -expm1(log(w)/alpha)
+    # keeps the upper tail at any alpha, with log w through 1 - q, exact
+    # for q > 1/2.  Where F < 1/4 the direct form keeps x's relative digits
     alpha, beta = params
     w = np.log1p(q * _EM1)
-    f = np.power(w, 1.0 / alpha)
-    return -np.log1p(-f) / beta
+    log_w = np.where(q > 0.5, np.log1p(np.log1p((q - 1.0) * (_EM1 / _E))), np.log(w))
+    x = -np.log(-np.expm1(log_w / alpha))
+    low = w < 0.25 ** alpha
+    x[low] = -np.log1p(-np.power(w[low], 1.0 / alpha))
+    return x / beta
 
 
 def _kme_log_sf(params, x):
@@ -411,11 +437,12 @@ class _Model:
             return np.exp(self.log_pdf(params, x))
 
     def hazard(self, params, x):
-        # from rate*x = _TAIL on the hazard is the rate to the last bit.
-        # Holding x there keeps the two logs at -700 rather than -rate*x,
-        # where their rounding would differ by up to ulp(rate*x), and it
-        # gives the rate itself at x = inf
-        x = np.minimum(x, _TAIL / params[self.rate_index])
+        # past rate*x = _TAIL and log(shape) + 2*_PLAIN the hazard is the
+        # rate to the last bit.  Holding x there keeps the rounding of the
+        # two logs from differing by up to ulp(rate*x), and gives the rate
+        # at x = inf.  Every model's shape is 1 + its edge exponent
+        hold = max(_TAIL, math.log1p(max(self.edge_exponent(params), 0.0)) + 2.0 * _PLAIN)
+        x = np.minimum(x, hold / params[self.rate_index])
         with np.errstate(over="ignore"):
             return np.exp(self.log_pdf(params, x) - self.log_sf(params, x))
 
@@ -431,7 +458,7 @@ _MODELS = {
     ),
     ModelKind.GDUSE: _Model(
         ("alpha", "beta"), GduseParams, 1, lambda p: p[0] - 1.0,
-        log_cdf=lambda p, x: _log_dus(np.exp(p[0] * _log_f(p[1], x))),
+        log_cdf=lambda p, x: _log_dus(np.exp(p[0] * _log1mexp(p[1] * x))),
         log_sf=_gduse_log_sf,
         log_pdf=_gduse_log_pdf,
         quantile=_gduse_quantile,
@@ -554,8 +581,8 @@ def quantile(kind: ModelKind, p, q: ArrayLike):
     if not np.all(valid):
         bad = float(arr[~valid][0])
         raise DomainError(f"quantile requires 0 <= q < 1, got {bad!r}")
-    # q within an ulp of 1 saturates to inf through log1p(-1); that is the
-    # correct limit, so the divide warning is noise
+    # log(0) = -inf, at q = 0 (set to 0 below) or where 1 - q**(1/shape)
+    # underflows, gives the correct limit, so the divide warning is noise
     with np.errstate(divide="ignore"):
         out = _MODELS[kind].quantile(params, arr)
     out[arr == 0.0] = 0.0

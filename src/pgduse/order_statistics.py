@@ -20,14 +20,12 @@ import numpy as np
 from scipy.special import betainc
 
 from .distributions import (
-    _LOG_EM1,
     _MODELS,
     ArrayLike,
     ModelKind,
     PgduseParams,
     _coerce,
     _on_support,
-    _pg_log_ratio,
     _split_input,
     _wrap_output,
     cdf,
@@ -56,26 +54,24 @@ class OrderSpec:
 def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     """Density of the r-th smallest of n draws at ``x``.
 
-    Evaluated in log space with the powers of G and g merged, so the
-    0 * inf products that a naive ``G**(r-1) * g`` hits at the origin
-    (where G = 0 while g may diverge) resolve to the correct limit.
+    G**(r-1) * g is the PGDUSE density at shape r*theta over r, so this
+    is C(n, r) * pdf((lam, r*theta), x) * (1 - G)**(n-r), summed in log
+    space from the record's kernels.  The 0 * inf that a naive
+    ``G**(r-1) * g`` hits at the origin (where G = 0 while g may diverge)
+    never arises.  Raises :class:`DomainError` if r*theta overflows.
     """
     params = _coerce(ModelKind.PGDUSE, p)
     n, r = spec.n, spec.r
-    log_coef = math.log(r) + math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-    log_sf = _MODELS[ModelKind.PGDUSE].log_sf
+    if not math.isfinite(r * params[1]):
+        raise DomainError(f"rank times theta must be finite, got {r} * {params[1]!r}")
+    log_coef = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+    model = _MODELS[ModelKind.PGDUSE]
 
     def kernel(params, xs):
         lam, theta = params
-        # log(G**(r-1) * g) = log(theta*lam) + 1 - lam*x - exp(-lam*x) - log(e-1)
-        #                     + (r*theta - 1)*log G1
-        logs = (log_coef + math.log(theta) + math.log(lam) + 1.0 - _LOG_EM1
-                - lam * xs - np.exp(-lam * xs))
-        merged = r * theta - 1.0
-        if merged != 0.0:
-            logs = logs + merged * _pg_log_ratio(lam, xs)
+        logs = log_coef + model.log_pdf((lam, r * theta), xs)
         if n > r:
-            logs = logs + (n - r) * log_sf(params, xs)
+            logs = logs + (n - r) * model.log_sf(params, xs)
         return np.exp(logs)
 
     arr, scalar = _split_input(x)

@@ -302,6 +302,85 @@ def test_renyi_non_integrable_reports_failure():
         renyi_entropy(ModelKind.GDUSE, (0.4, 1.0), 2.0)
 
 
+def _mp_log_pdf(kind, params, x):
+    """The log-density at the working precision, written from the cdfs."""
+    log_em1 = mpmath.log(mpmath.e - 1)
+    if kind is ModelKind.PGDUSE:
+        lam, theta = map(mpmath.mpf, params)
+        f = -mpmath.expm1(-lam * x)
+        return (mpmath.log(theta * lam) + (theta - 1) * mpmath.log(mpmath.expm1(f))
+                - theta * log_em1 + f - lam * x)
+    if kind is ModelKind.GDUSE:
+        alpha, beta = map(mpmath.mpf, params)
+        f = -mpmath.expm1(-beta * x)
+        return mpmath.log(alpha * beta) + (alpha - 1) * mpmath.log(f) + f ** alpha - beta * x - log_em1
+    theta = mpmath.mpf(params[0])
+    if kind is ModelKind.KME:
+        return 1 + mpmath.log(theta) - log_em1 - theta * x + mpmath.expm1(-theta * x)
+    return mpmath.log(theta) - theta * x
+
+
+def _mp_integral(kind, params, log_integrand):
+    """Integral of exp(log_integrand) over (0, inf) at 30 digits, split
+    at a few quantiles so each piece is smooth."""
+    cuts = [float(c) for c in pgduse.distributions.quantile(kind, params, [0.1, 0.5, 0.9, 0.999])]
+    with mpmath.workdps(30):
+        return mpmath.quad(lambda x: mpmath.exp(log_integrand(x)), [0] + cuts + [mpmath.inf])
+
+
+@pytest.mark.parametrize("kind, params", [
+    (ModelKind.PGDUSE, (0.5, 0.5)), (ModelKind.PGDUSE, (2.0, 5.0)), (ModelKind.PGDUSE, (1.0, 1e6)),
+    (ModelKind.GDUSE, (0.5, 2.3)), (ModelKind.KME, (1.0,)), (ModelKind.ED, (2.0,)),
+], ids=str)
+def test_quadrature_oracles_match_mpmath(kind, params):
+    # the tanh-sinh oracles over the whole half-line, within 1e-10 of
+    # 30-digit integrals; Renyi entropies are scaled by max(1, |H|)
+    for r in (1, 2, 3, 4):
+        want = _mp_integral(kind, params, lambda x: r * mpmath.log(x) + _mp_log_pdf(kind, params, x))
+        assert raw_moment_quadrature(kind, params, r) == pytest.approx(float(want), rel=1e-10)
+    edge = pgduse.distributions._MODELS[kind].edge_exponent(params)
+    for delta in (0.5, 2.5):
+        if delta * edge <= -1.0:
+            with pytest.raises(QuadFailure):
+                renyi_entropy(kind, params, delta)
+            continue
+        integral = _mp_integral(kind, params, lambda x: delta * _mp_log_pdf(kind, params, x))
+        want = float(mpmath.log(integral) / (1 - delta))
+        assert renyi_entropy(kind, params, delta) == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+
+
+@pytest.mark.parametrize("t", (-1.0, 0.4, 0.95, 0.99))
+def test_quadrature_oracles_match_mpmath_for_the_mgf(t):
+    # exp(t*x + log_pdf) stays finite where exp(t*x) alone would overflow
+    kind, params = ModelKind.PGDUSE, (1.0, 2.0)
+    want = _mp_integral(kind, params, lambda x: t * x + _mp_log_pdf(kind, params, x))
+    assert mgf_quadrature(params, t) == pytest.approx(float(want), rel=1e-10)
+
+
+def test_quadrature_refuses_an_open_interval(monkeypatch):
+    # an interval that stopped before converging fails the oracle even
+    # when the summed error estimate looks small
+    real = pgduse.analytic.tanhsinh
+
+    def stop_the_largest(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status[np.argmax(res.integral)] = -2
+        return res
+
+    monkeypatch.setattr(pgduse.analytic, "tanhsinh", stop_the_largest)
+    with pytest.raises(QuadFailure):
+        raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), 1)
+
+
+def test_quadrature_at_a_small_shape():
+    # at theta = 1e-3 the lower cut quantiles underflow to 0 and merge,
+    # and the intervals below 1e-125, where x**4 * pdf underflows to 0,
+    # stop unconverged with nothing in them
+    params = (1.0, 1e-3)
+    want = raw_moment_series(params, 4)
+    assert raw_moment_quadrature(ModelKind.PGDUSE, params, 4) == pytest.approx(want, rel=1e-10)
+
+
 def test_renyi_domain_checks():
     with pytest.raises(DomainError):
         renyi_entropy(ModelKind.ED, (1.0,), 1.0)
@@ -335,8 +414,10 @@ def test_skewness_kurtosis_against_sample():
 
 
 def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
-    # each node is one float on the support: pdf must take it straight to
-    # the kernel, on parameters the route validated once
+    # every route validates the parameters once and hands the typed
+    # vector to each node.  The cf's nodes are single floats on the
+    # support, which pdf must take straight to the kernel; the tanh-sinh
+    # routes pass whole arrays of nodes through the masked path
     validated = []
     real_validate = pgduse.distributions.validate_params
 
@@ -348,11 +429,9 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
         raise AssertionError("a quadrature node went through the masked array path")
 
     monkeypatch.setattr(pgduse.distributions, "validate_params", counting_validate)
-    monkeypatch.setattr(pgduse.distributions, "_on_support", refuse)
     routes = [
         lambda: raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), 2),
         lambda: mgf_quadrature((1.0, 2.0), 0.5),
-        lambda: cf_quadrature((1.0, 2.0), 1.0),
         lambda: cf_quadrature((1.0, 2.0), 0.0),
         lambda: renyi_entropy(ModelKind.PGDUSE, (1.0, 2.0), 2.0),
     ]
@@ -363,6 +442,10 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
         validated.clear()
         assert math.isfinite(abs(route()))
         assert len(validated) == 1
+    monkeypatch.setattr(pgduse.distributions, "_on_support", refuse)
+    validated.clear()
+    assert math.isfinite(abs(cf_quadrature((1.0, 2.0), 1.0)))
+    assert len(validated) == 1
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -370,7 +453,8 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
     (ModelKind.DUSE, (0.8,)), (ModelKind.KME, (1.0,)), (ModelKind.ED, (2.0,)),
 ])
 def test_one_float_matches_the_array_path(kind, params):
-    # the quadrature nodes' shortcut agrees bit for bit with a one-point array
+    # the one-float shortcut, which serves the cf's QUADPACK nodes, agrees
+    # bit for bit with a one-point array
     fns = (pgduse.distributions.pdf, pgduse.distributions.log_pdf, pgduse.distributions.cdf,
            pgduse.distributions.survival)
     for x in (-1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 7.0, 60.0, 800.0, math.inf, math.nan):

@@ -332,9 +332,14 @@ _EPS = float(np.finfo(float).eps)
     (ModelKind.PGDUSE, (1.0, 1e-3), 1.0),
     (ModelKind.PGDUSE, (3.0, 1e6), 3.0),
     (ModelKind.PGDUSE, (0.5, 1e17), 0.5),
+    (ModelKind.PGDUSE, (1.0, 1e300), 1.0),
+    (ModelKind.PGDUSE, (2.0, 1e305), 2.0),
     (ModelKind.PGDUSE, (1.3, 2.5), 1.3),
     (ModelKind.GDUSE, (1e-3, 1.0), 1.0),
     (ModelKind.GDUSE, (50.0, 0.7), 0.7),
+    (ModelKind.GDUSE, (1e10, 1.0), 1.0),
+    (ModelKind.GDUSE, (1e16, 0.3), 0.3),
+    (ModelKind.GDUSE, (1e305, 1.0), 1.0),
     (ModelKind.GDUSE, (0.5, 2.3), 2.3),
     (ModelKind.DUSE, (0.8,), 0.8),
     (ModelKind.KME, (1.5,), 1.5),
@@ -414,6 +419,45 @@ def test_cdf_quantile_round_trip(kind):
     for params in grid_params(kind):
         for q in (1e-6, 0.01, 0.25, 0.5, 0.9, 0.999):
             assert cdf(kind, params, quantile(kind, params, q)) == pytest.approx(q, abs=1e-9)
+
+
+_SHAPES = (1e-3, 2.0, 1e3, 1e6, 1e17)
+_PROBS = (1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-5, 1 - 1e-9,
+          1 - 1e-12, 1 - 1e-15)
+
+
+def _mp_quantile(kind, shape, q):
+    """The quantile at rate 1, and the v = 1 - exp(-x) it inverts to, with
+    1 - v taken naively at 400 digits."""
+    q, shape, e1 = mpmath.mpf(q), mpmath.mpf(shape), mpmath.e - 1
+    if kind is ModelKind.PGDUSE:
+        v = mpmath.log1p(e1 * q ** (1 / shape))
+    else:
+        v = mpmath.log1p(e1 * q) ** (1 / shape)
+    return -mpmath.log(1 - v), v
+
+
+@pytest.mark.parametrize("kind", (ModelKind.PGDUSE, ModelKind.GDUSE))
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_quantile_keeps_both_tails_at_any_shape(kind, shape):
+    # A stable inversion loses a relative ulp of q, or, where v is near 1,
+    # of 1 - v, whichever costs less: the bound is 1e-14 plus 16 ulp of
+    # |dx/dlog q| * min(1, (1 - v)/v).  A subtraction of q**(1/shape)
+    # from 1 loses far more near q = 1 at large shapes.  Values below
+    # the double range keep only absolute digits
+    params = (1.0, shape) if kind is ModelKind.PGDUSE else (shape, 1.0)
+    got = quantile(kind, params, np.array(_PROBS))
+    misses = []
+    with mpmath.workdps(400):
+        for q, value in zip(_PROBS, got):
+            want, v = _mp_quantile(kind, shape, q)
+            slope = mpmath.diff(lambda t: _mp_quantile(kind, shape, mpmath.exp(t))[0],
+                                mpmath.log(q))
+            tol = 1e-14 * want + 16 * _EPS * abs(slope) * (1 - v) / max(v, 1 - v) + 1e-320
+            if not (math.isfinite(value) and abs(value - want) <= tol):
+                misses.append((q, value, float(want)))
+    assert misses == []
+    assert np.all(np.isfinite(sample(kind, params, 5, seed=1)))
 
 
 @settings(max_examples=80, deadline=None)

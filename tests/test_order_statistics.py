@@ -33,6 +33,17 @@ def test_order_spec_validation():
         OrderSpec(3, 0)
 
 
+def test_rank_times_huge_theta():
+    # the maximum of n draws is PGDUSE at shape n*theta; past the largest
+    # float that shape is refused rather than turned into NaN
+    xs = np.array([0.0, 1.0, 700.0, 709.0, 710.0, 720.0, 1e3])
+    got = order_stat_pdf((1.0, 1e306), OrderSpec(100, 100), xs)
+    assert np.array_equal(got, pdf(ModelKind.PGDUSE, (1.0, 1e308), xs))
+    assert np.all(np.isfinite(got)) and got[3] > 0.1
+    with pytest.raises(DomainError):
+        order_stat_pdf((1.0, 1e306), OrderSpec(200, 200), xs)
+
+
 def test_single_observation_reduces_to_parent():
     xs = np.linspace(0.0, 6.0, 50)
     got = order_stat_pdf(P, OrderSpec(1, 1), xs)
