@@ -4,7 +4,8 @@ A numpy/scipy library around the PGDUS transform of the exponential
 baseline (the PGDUSE distribution) and its four companion models (GDUSE,
 DUSE, KME, ED): the full distribution-function surface, series and
 quadrature analytics, maximum-likelihood fitting, and goodness-of-fit
-model comparison, plus a small CLI (``pgduse --help``).
+model comparison, plus a small CLI (``pgduse --help``).  Importing it
+loads numpy only; each scipy module loads in the first call that needs it.
 """
 
 __version__ = "0.1.0"

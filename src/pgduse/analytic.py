@@ -40,8 +40,6 @@ from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, tanhsinh
-from scipy.special import gammaln, zeta
 
 from .distributions import (
     _MODELS,
@@ -108,7 +106,7 @@ class QuadOptions:
 # Poisson-weighted means
 # ----------------------------------------------------------------------
 
-def _poisson_mean(h_vec: Callable, h_neg: Callable, z: float):
+def _poisson_mean(h_vec: Callable, h_neg: Callable, z: float, gammaln: Callable):
     """E[h(M)] for M ~ Poisson(z), extended by the same power sum to z <= 0.
 
     For z < 0 the defining sum alternates and cancels roughly like
@@ -223,6 +221,7 @@ def _binomial_series(
     over k >= K is a combination of Hurwitz zeta values.  A held-out term
     cross-checks the fit; any mismatch raises :class:`SeriesDivergence`.
     """
+    from scipy.special import gammaln, zeta  # once per series, not per term
     coeff = 1.0
     total = 0.0
     terms: list = []
@@ -230,7 +229,7 @@ def _binomial_series(
     for k in range(opts.max_terms):
         if coeff == 0.0:
             return total
-        term = coeff * _poisson_mean(h_vec, h_neg, k - shift)
+        term = coeff * _poisson_mean(h_vec, h_neg, k - shift, gammaln)
         terms.append(term)
         total += term
         if abs(term) < opts.abs_tol:
@@ -296,6 +295,7 @@ def _integral(kind: ModelKind, typed, log_integrand: Callable, opts: QuadOptions
     silenced.  An unconverged interval's error estimate bounds nothing, so
     it may hold at most an ulp of the value, as tails that underflow do.
     """
+    from scipy.integrate import tanhsinh
     cuts = np.unique(quantile(kind, typed, _CUT_LEVELS))
     with np.errstate(all="ignore"):
         res = tanhsinh(lambda x: np.exp(log_integrand(x)), cuts, np.append(cuts[1:], np.inf),
@@ -309,6 +309,7 @@ def _integral(kind: ModelKind, typed, log_integrand: Callable, opts: QuadOptions
 
 
 def _checked_quad(func, lo, hi, opts: QuadOptions, weight=None, wvar=None):
+    from scipy.integrate import quad
     kwargs = dict(epsabs=1e-300, epsrel=opts.rel_tol, limit=2000, full_output=1)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar, epsabs=1e-14)

@@ -502,12 +502,12 @@ def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
               closed: bool = False):
     """The public path: validate, evaluate one kernel of the record, wrap.
 
-    One float on the support, the quadrature oracles' case, skips the
-    masks and goes straight to the kernel with the same one-point array.
+    One float on the support of ``pdf``, the cf oracle's case, skips the
+    masks and goes straight to the kernel, which silences its own overflow.
     """
     params = _coerce(kind, p)
     kernel = getattr(_MODELS[kind], kernel_name)
-    if isinstance(x, float) and (x >= 0.0 if closed else x > 0.0):
+    if kernel_name == "pdf" and isinstance(x, float) and x >= 0.0:
         return float(kernel(params, np.array([x]))[0])
     arr, scalar = _split_input(x)
     return _wrap_output(_on_support(kernel, params, arr, fill, closed), scalar)

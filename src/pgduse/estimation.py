@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import (
     _MODELS,
@@ -165,6 +164,7 @@ def _gduse_alpha_hat(beta: float, data: Dataset) -> float | None:
     def alpha_score(alpha: float) -> float:
         return data.n / alpha + total + float(np.dot(log_f, np.exp(alpha * log_f)))
 
+    from scipy.optimize import brentq
     return brentq(alpha_score, hi / 8.0, hi)
 
 
@@ -247,6 +247,7 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
         a, b, found = _bracket(slope, u)
         u = a
         if found:
+            from scipy.optimize import brentq
             u, info = brentq(
                 slope, a, b, xtol=opts.step_tol, maxiter=opts.max_iters,
                 full_output=True, disp=False,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .distributions import Dataset, ModelKind, cdf
 from .errors import DomainError
@@ -88,12 +87,13 @@ def ks_pvalue(d: float, n: int, method: str = "asymptotic") -> float:
         raise DomainError(f"sample size must be >= 1, got {n!r}")
     if d == 0.0:
         return 1.0
+    # scipy takes most of a second to import, so every scipy import in the
+    # package sits in the call that needs it and ``import pgduse`` loads numpy only
     if method == "exact":
-        # scipy.stats costs most of a second to import; load it only here
         from scipy.stats import kstwo
-
         return min(max(float(kstwo.sf(d, n)), 0.0), 1.0)
     if method == "asymptotic":
+        from scipy.special import kolmogorov
         return min(max(float(kolmogorov(math.sqrt(n) * d)), 0.0), 1.0)
     raise DomainError(f"method must be 'exact' or 'asymptotic', got {method!r}")
 

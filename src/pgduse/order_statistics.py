@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .distributions import (
     _MODELS,
@@ -80,6 +79,7 @@ def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
 
 def order_stat_cdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     """P(r-th smallest of n draws <= x) = I_G(r, n - r + 1)."""
+    from scipy.special import betainc
     params = _coerce(ModelKind.PGDUSE, p)
     arr, scalar = _split_input(x)
     out = betainc(spec.r, spec.n - spec.r + 1, cdf(ModelKind.PGDUSE, params, arr))

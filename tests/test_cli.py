@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +174,23 @@ def test_sample_mean_near_analytic_mean(capsys):
     mu = 1.834838403029303
     stderr = values.std(ddof=1) / math.sqrt(len(values))
     assert abs(values.mean() - mu) < 3.0 * stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "pgduse", "--params", "1,2", "--fn", "pdf", "--at", "0.5,1,2"],
+    ["sample", "--model", "pgduse", "--params", "1,2", "--n", "5", "--seed", "1"],
+], ids=["eval", "sample"])
+def test_eval_and_sample_run_without_scipy(capsys, argv):
+    # both need numpy only: a fresh process prints what this one does and
+    # never imports scipy
+    code = ("import sys; from pgduse.cli import main; status = main(sys.argv[1:]); "
+            "sys.stderr.write(repr([m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')])); sys.exit(status)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
+    _, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "[]")
 
 
 # ----------------------------------------------------------------------

@@ -96,16 +96,55 @@ def test_ks_pvalue_exact_matches_scipy():
             )
 
 
-def test_importing_the_package_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; only the exact KS
-    # p-value needs it, and it loads it on first use.  mpmath is a test
-    # dependency only
-    code = ("import sys, pgduse, pgduse.cli; "
-            "print('scipy.stats' in sys.modules, 'mpmath' in sys.modules)")
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that sees this suite's path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False False"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+_SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]"
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy takes most of a second to import, so each call that needs a
+    # scipy module imports it, and the package and its CLI load none.
+    # mpmath is a test dependency only
+    code = ("import sys, pgduse, pgduse.cli; "
+            f"print('scipy.stats' in sys.modules, 'mpmath' in sys.modules, {_SCIPY_LOADED})")
+    assert _fresh_python(code).strip() == "False False []"
+
+
+# the first call of every function that imports scipy where it runs:
+# brentq (both GDUSE sites), kolmogorov, kstwo, betainc, gammaln and zeta
+# (157 Poisson means at z >= 40, then the tail closure), tanhsinh and quad
+_LAZY_CALLS = """
+import pgduse
+from pgduse import ModelKind
+fit = pgduse.fit_mle(ModelKind.GDUSE, pgduse.load_dataset("lawless"))
+values = [
+    fit.params, fit.log_likelihood, fit.iterations, fit.converged,
+    pgduse.ks_pvalue(0.11025, 23), pgduse.ks_pvalue(0.11025, 23, "exact"),
+    pgduse.order_stat_cdf((1.0, 2.0), pgduse.OrderSpec(5, 2), 0.7),
+    pgduse.raw_moment_series((1.0, 2.5), 1),
+    pgduse.raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.5), 1),
+    pgduse.cf_quadrature((1.0, 2.0), 0.7),
+]
+"""
+
+
+def test_every_lazy_scipy_import_works_in_a_cold_interpreter():
+    # the rest of the suite runs with scipy already imported by its test
+    # modules; here each call is the first in a process that holds numpy only
+    cold = _fresh_python(
+        "import sys, pgduse\n"
+        f"assert not {_SCIPY_LOADED}\n"
+        + _LAZY_CALLS + "print(repr(values))"
+    )
+    warm = {}
+    exec(_LAZY_CALLS, warm)
+    assert cold.strip() == repr(warm["values"])
 
 
 def test_ks_pvalue_asymptotic_series_terms():
