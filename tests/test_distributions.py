@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ from pgduse import (
     ModelKind,
     NonPositiveObservation,
     NonPositiveParameter,
+    OrderSpec,
     PgduseParams,
     cdf,
     hazard,
@@ -23,6 +26,7 @@ from pgduse import (
     ks_statistic,
     log_pdf,
     median,
+    order_stat_pdf,
     pdf,
     quantile,
     sample,
@@ -30,6 +34,8 @@ from pgduse import (
     survival,
     validate_params,
 )
+from pgduse import distributions
+from pgduse.distributions import _BLOCK
 from pgduse.estimation import _SCORES
 
 from conftest import ALL_KINDS, GRID_LAMBDAS, grid_params
@@ -429,35 +435,48 @@ _PROBS = (1e-300, 1e-100, 1e-20, 1e-5, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-5, 1 - 
 def _mp_quantile(kind, shape, q):
     """The quantile at rate 1, and the v = 1 - exp(-x) it inverts to, with
     1 - v taken naively at 400 digits."""
-    q, shape, e1 = mpmath.mpf(q), mpmath.mpf(shape), mpmath.e - 1
+    q, e1 = mpmath.mpf(q), mpmath.e - 1
     if kind is ModelKind.PGDUSE:
-        v = mpmath.log1p(e1 * q ** (1 / shape))
+        v = mpmath.log1p(e1 * q ** (1 / mpmath.mpf(shape)))
+    elif kind is ModelKind.GDUSE:
+        v = mpmath.log1p(e1 * q) ** (1 / mpmath.mpf(shape))
     else:
-        v = mpmath.log1p(e1 * q) ** (1 / shape)
+        # KME: 1 - q = D(exp(-x)), so exp(-x) = log1p((e - 1)(1 - q))
+        v = 1 - mpmath.log1p(e1 * (1 - q))
     return -mpmath.log(1 - v), v
 
 
-@pytest.mark.parametrize("kind", (ModelKind.PGDUSE, ModelKind.GDUSE))
-@pytest.mark.parametrize("shape", _SHAPES)
-def test_quantile_keeps_both_tails_at_any_shape(kind, shape):
+def _quantile_misses(kind, params, shape, probs=_PROBS):
     # A stable inversion loses a relative ulp of q, or, where v is near 1,
     # of 1 - v, whichever costs less: the bound is 1e-14 plus 16 ulp of
     # |dx/dlog q| * min(1, (1 - v)/v).  A subtraction of q**(1/shape)
     # from 1 loses far more near q = 1 at large shapes.  Values below
     # the double range keep only absolute digits
-    params = (1.0, shape) if kind is ModelKind.PGDUSE else (shape, 1.0)
-    got = quantile(kind, params, np.array(_PROBS))
+    got = quantile(kind, params, np.array(probs))
     misses = []
     with mpmath.workdps(400):
-        for q, value in zip(_PROBS, got):
+        for q, value in zip(probs, got):
             want, v = _mp_quantile(kind, shape, q)
             slope = mpmath.diff(lambda t: _mp_quantile(kind, shape, mpmath.exp(t))[0],
                                 mpmath.log(q))
             tol = 1e-14 * want + 16 * _EPS * abs(slope) * (1 - v) / max(v, 1 - v) + 1e-320
             if not (math.isfinite(value) and abs(value - want) <= tol):
                 misses.append((q, value, float(want)))
-    assert misses == []
+    return misses
+
+
+@pytest.mark.parametrize("kind", (ModelKind.PGDUSE, ModelKind.GDUSE))
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_quantile_keeps_both_tails_at_any_shape(kind, shape):
+    params = (1.0, shape) if kind is ModelKind.PGDUSE else (shape, 1.0)
+    assert _quantile_misses(kind, params, shape) == []
     assert np.all(np.isfinite(sample(kind, params, 5, seed=1)))
+
+
+def test_kme_quantile_keeps_both_tails():
+    # the form through q alone cancels as q -> 1: 3.7e-6 off at 1 - 1e-12
+    near_half = (0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53, 0.5 + 2.0 ** -52)
+    assert _quantile_misses(ModelKind.KME, (1.0,), None, _PROBS + near_half) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -501,3 +520,59 @@ def test_sample_passes_ks_against_generating_cdf():
     d = ks_statistic(Dataset(xs), lambda x: cdf(ModelKind.PGDUSE, (1.0, 2.0), x))
     assert ks_pvalue(d, 10000, "asymptotic") > 0.01
     assert ks_pvalue(d, 10000, "exact") > 0.01
+
+
+# ----------------------------------------------------------------------
+# blocked evaluation
+# ----------------------------------------------------------------------
+
+_EDGE_POINTS = (0.0, -1.0, math.nan, math.inf, 1e-300, 1e6)
+_EDGE_PROBS = (0.0, math.nan, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1e-15)
+
+
+def _straddle(base, values):
+    """``base`` with ``values`` at both ends and on both sides of every block edge."""
+    out, k = base.copy(), len(values)
+    out[:k] = out[-k:] = values
+    for edge in range(_BLOCK, out.size, _BLOCK):
+        out[edge - k:edge] = values
+        after = out[edge:edge + k]
+        after[:] = values[::-1][:after.size]
+    return out
+
+
+@pytest.mark.parametrize("size", (_BLOCK, _BLOCK + 1, 3 * _BLOCK + 17))
+def test_blocked_values_equal_one_whole_array_call(size, monkeypatch):
+    rng = np.random.default_rng(size)
+    xs = _straddle(rng.exponential(3.0, size), _EDGE_POINTS)
+    qs = _straddle(rng.random(size), _EDGE_PROBS)
+    huge = {ModelKind.PGDUSE: [(1.0, 1e300)], ModelKind.GDUSE: [(1e305, 1.0)]}
+    calls = [partial(order_stat_pdf, (1.0, 2.0), OrderSpec(50, 25), xs),
+             partial(hazard, ModelKind.PGDUSE, (1.0, 2.0), xs[:size - size % 2].reshape(2, -1).T)]
+    for kind in ALL_KINDS:
+        for params in grid_params(kind)[::5] + huge.get(kind, []):
+            calls += [partial(fn, kind, params, xs) for fn in _SWEEP_FNS]
+            calls.append(partial(quantile, kind, params, qs))
+    blocked = [call() for call in calls]
+    # one block as large as the input: the kernel's single whole-array call
+    monkeypatch.setattr(distributions, "_BLOCK", size)
+    for call, got in zip(calls, blocked):
+        want = call()
+        assert np.array_equal(got, want, equal_nan=True), call
+        assert np.array_equal(np.signbit(got), np.signbit(want)), call
+
+
+def test_array_calls_keep_about_one_output_live():
+    # a whole-array kernel holds a dozen temporaries of the input's size;
+    # blocks hold them at _BLOCK points, next to the output and its masks
+    xs = np.linspace(0.0, 50.0, 1_000_000)
+    qs = np.linspace(0.0, 1.0, 1_000_000, endpoint=False)
+    for call in (partial(hazard, ModelKind.PGDUSE, (1.0, 2.0), xs),
+                 partial(quantile, ModelKind.GDUSE, (0.5, 2.3), qs)):
+        tracemalloc.start()
+        try:
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes, (call, peak / out.nbytes)
