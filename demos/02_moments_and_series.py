@@ -23,7 +23,7 @@ from pgduse import (
     variance,
 )
 
-opts = SeriesOptions(abs_tol=1e-12, max_terms=400)
+opts = SeriesOptions(max_terms=400)
 p = PgduseParams(lam=1.0, theta=2.0)
 
 print("raw moments of PGDUSE(1, 2): series vs quadrature")

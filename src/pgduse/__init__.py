@@ -11,7 +11,6 @@ loads numpy only; each scipy module loads in the first call that needs it.
 __version__ = "0.1.0"
 
 from .analytic import (
-    QuadOptions,
     SeriesOptions,
     cf,
     cf_quadrature,

@@ -16,6 +16,10 @@ and closes the tail with a fitted power law evaluated through the Hurwitz
 zeta function.  Every series value is validated against quadrature in the
 test suite.
 
+The tolerances are fixed: a series stops after two consecutive terms below
+1e-12, and every quadrature works to a relative error of 1e-10.  The one
+option is the series term budget, ``SeriesOptions.max_terms``.
+
 After swapping the order of summation and integration, each term reduces
 to a Poisson-weighted mean ``E[h(M)]`` with ``M ~ Poisson(k - shift)``:
 
@@ -54,7 +58,6 @@ from .errors import DomainError, LogOfZero, QuadFailure, SeriesDivergence
 
 __all__ = [
     "SeriesOptions",
-    "QuadOptions",
     "raw_moment_series",
     "raw_moment_quadrature",
     "mgf",
@@ -73,33 +76,22 @@ __all__ = [
 
 _EM1 = math.e - 1.0
 _EPS = float(np.finfo(float).eps)
+# a series ends after two consecutive terms below this
+_ABS_TOL = 1e-12
+# a quadrature whose error estimate exceeds this times its value is refused
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SeriesOptions:
-    """Truncation controls for the series expansions."""
+    """Term budget of the series expansions: a series still running after
+    ``max_terms`` terms has its tail closed by a power-law fit."""
 
-    abs_tol: float = 1e-12
     max_terms: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be > 0, got {self.abs_tol!r}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
-
-
-@dataclass(frozen=True)
-class QuadOptions:
-    """Relative accuracy of the quadrature routes: a tanh-sinh integral
-    whose summed error estimate exceeds ``rel_tol`` times its value is
-    refused, and a flagged QUADPACK one (the cf) past 1000 times that."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +206,7 @@ def _binomial_series(
     ``h_vec`` is h on an array of m; ``h_neg(w)`` is the mean at k - shift = -w.
     A complex h gives a complex sum.
 
-    Stops when two consecutive terms fall below ``abs_tol`` (exact
+    Stops when two consecutive terms fall below ``_ABS_TOL`` (exact
     termination for nonnegative-integer ``power``).  If the budget runs out
     first, the remaining tail is closed analytically: the terms behave like
     ``k**(-tail_exponent) * (c0 + c1/k + c2/k**2 + c3/k**3)``, whose sum
@@ -232,7 +224,7 @@ def _binomial_series(
         term = coeff * _poisson_mean(h_vec, h_neg, k - shift, gammaln)
         terms.append(term)
         total += term
-        if abs(term) < opts.abs_tol:
+        if abs(term) < _ABS_TOL:
             below += 1
             if below >= 2:
                 return total
@@ -284,7 +276,7 @@ def _validated(kind: ModelKind, p):
 _CUT_LEVELS = np.concatenate(([0.0], 2.0 ** -np.arange(50, 0, -1), 1.0 - 2.0 ** -np.arange(2, 51)))
 
 
-def _integral(kind: ModelKind, typed, log_integrand: Callable, opts: QuadOptions) -> float:
+def _integral(kind: ModelKind, typed, log_integrand: Callable) -> float:
     """Integral of exp(log_integrand(x)) > 0 over the half-line, by tanh-sinh.
 
     One vectorised ``tanhsinh`` call covers the intervals between the cut
@@ -299,28 +291,29 @@ def _integral(kind: ModelKind, typed, log_integrand: Callable, opts: QuadOptions
     cuts = np.unique(quantile(kind, typed, _CUT_LEVELS))
     with np.errstate(all="ignore"):
         res = tanhsinh(lambda x: np.exp(log_integrand(x)), cuts, np.append(cuts[1:], np.inf),
-                       rtol=opts.rel_tol)
+                       rtol=_REL_TOL)
     value, abserr = float(np.sum(res.integral)), float(np.sum(res.error))
     stray = float(np.sum((res.integral + res.error)[res.status != 0]))
-    if not (0.0 < value < math.inf and abserr <= opts.rel_tol * value and stray <= _EPS * value):
+    if not (0.0 < value < math.inf and abserr <= _REL_TOL * value and stray <= _EPS * value):
         raise QuadFailure(f"tanh-sinh quadrature failed: value={value!r}, abserr={abserr!r}, "
                           f"{np.count_nonzero(res.status)} of {res.status.size} intervals open")
     return value
 
 
-def _checked_quad(func, lo, hi, opts: QuadOptions, weight=None, wvar=None):
+def _checked_quad(func, lo, hi, weight=None, wvar=None):
+    """QUADPACK's integral of ``func`` over [lo, hi], refused if QUADPACK
+    flags it (a full output past three items) or if it is not finite."""
     from scipy.integrate import quad
-    kwargs = dict(epsabs=1e-300, epsrel=opts.rel_tol, limit=2000, full_output=1)
+    kwargs = dict(epsabs=1e-300, epsrel=_REL_TOL, limit=2000, full_output=1)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar, epsabs=1e-14)
     result = quad(func, lo, hi, **kwargs)
-    value, abserr = result[0], result[1]
+    value = result[0]
     if len(result) > 3 or not math.isfinite(value):
-        if not math.isfinite(value) or abserr > 1e3 * opts.rel_tol * max(abs(value), 1e-300):
-            raise QuadFailure(
-                f"quadrature on [{lo:g}, {hi:g}] failed: value={value!r}, "
-                f"abserr={abserr!r}: {result[-1] if len(result) > 3 else 'non-finite'}"
-            )
+        raise QuadFailure(
+            f"quadrature on [{lo:g}, {hi:g}] failed: value={value!r}, "
+            f"abserr={result[1]!r}: {result[-1] if len(result) > 3 else 'non-finite'}"
+        )
     return value
 
 
@@ -351,9 +344,7 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     return prefactor * kernel
 
 
-def raw_moment_quadrature(
-    kind: ModelKind, p, r: int, opts: QuadOptions = QuadOptions()
-) -> float:
+def raw_moment_quadrature(kind: ModelKind, p, r: int) -> float:
     """r-th raw moment: the integral of exp(r*log(x) + log_pdf(x)).
 
     The independent oracle for :func:`raw_moment_series`.
@@ -361,7 +352,7 @@ def raw_moment_quadrature(
     if r < 1 or int(r) != r:
         raise DomainError(f"moment order must be a positive integer, got {r!r}")
     _, typed = _validated(kind, p)
-    return _integral(kind, typed, lambda x: r * np.log(x) + log_pdf(kind, typed, x), opts)
+    return _integral(kind, typed, lambda x: r * np.log(x) + log_pdf(kind, typed, x))
 
 
 # ----------------------------------------------------------------------
@@ -376,52 +367,57 @@ def _generating_series(lam: float, theta: float, tau, opts: SeriesOptions):
     return prefactor * kernel
 
 
+def _argument(t, below: float = math.inf) -> float:
+    """``t`` as a float, which must be finite and below ``below``."""
+    t = float(t)
+    if not -math.inf < t < below:
+        bound = "" if below == math.inf else f" and < lambda ({below:g})"
+        raise DomainError(f"t must be finite{bound}, got t={t!r}")
+    return t
+
+
 def mgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> float:
     """Moment generating function E[exp(t X)]; finite only for t < lam."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    t = float(t)
-    if t >= lam:
-        raise DomainError(f"mgf requires t < lambda ({lam:g}), got t={t:g}")
-    return _generating_series(lam, theta, t, opts)
+    return _generating_series(lam, theta, _argument(t, lam), opts)
 
 
-def mgf_quadrature(p: PgduseParams, t: float, opts: QuadOptions = QuadOptions()) -> float:
+def mgf_quadrature(p: PgduseParams, t: float) -> float:
     """Quadrature oracle for :func:`mgf`: the integral of exp(t*x + log_pdf(x))."""
     (lam, _), typed = _validated(ModelKind.PGDUSE, p)
-    t = float(t)
-    if t >= lam:
-        raise DomainError(f"mgf requires t < lambda ({lam:g}), got t={t:g}")
+    t = _argument(t, lam)
     return _integral(ModelKind.PGDUSE, typed,
-                     lambda x: t * x + log_pdf(ModelKind.PGDUSE, typed, x), opts)
+                     lambda x: t * x + log_pdf(ModelKind.PGDUSE, typed, x))
 
 
 def cf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> complex:
     """Characteristic function E[exp(i t X)]; the mgf series at i*t."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    return complex(_generating_series(lam, theta, 1j * float(t), opts))
+    return complex(_generating_series(lam, theta, 1j * _argument(t), opts))
 
 
-def cf_quadrature(p: PgduseParams, t: float, opts: QuadOptions = QuadOptions()) -> complex:
+def cf_quadrature(p: PgduseParams, t: float) -> complex:
     """Oscillatory-quadrature oracle for :func:`cf`.
 
     At t = 0 it is the integral of the density.  Otherwise, since
     tanh-sinh cannot certify a Fourier integral at large |t|/lambda, it
     uses the QUADPACK cosine/sine weights on the bulk of the support; an
     initial plain slice absorbs the density singularity at 0 (theta < 1).
+    A piece that QUADPACK flags raises :class:`QuadFailure`.
     """
     (lam, _), typed = _validated(ModelKind.PGDUSE, p)
-    t = float(t)
+    t = _argument(t)
     if t == 0.0:
         return complex(_integral(ModelKind.PGDUSE, typed,
-                                 lambda x: log_pdf(ModelKind.PGDUSE, typed, x), opts))
+                                 lambda x: log_pdf(ModelKind.PGDUSE, typed, x)))
     density = lambda x: pdf(ModelKind.PGDUSE, typed, x)
     # the cutoff: the far quantile plus an exponential-decay margin
     top = float(quantile(ModelKind.PGDUSE, typed, 1.0 - 1e-13)) + 45.0 / lam
     split = min(0.05 / abs(t), top / 8.0)
-    re = _checked_quad(lambda x: math.cos(t * x) * density(x), 0.0, split, opts)
-    im = _checked_quad(lambda x: math.sin(t * x) * density(x), 0.0, split, opts)
-    re += _checked_quad(density, split, top, opts, weight="cos", wvar=t)
-    im += _checked_quad(density, split, top, opts, weight="sin", wvar=t)
+    re = _checked_quad(lambda x: math.cos(t * x) * density(x), 0.0, split)
+    im = _checked_quad(lambda x: math.sin(t * x) * density(x), 0.0, split)
+    re += _checked_quad(density, split, top, weight="cos", wvar=t)
+    im += _checked_quad(density, split, top, weight="sin", wvar=t)
     return complex(re, im)
 
 
@@ -437,9 +433,15 @@ def cgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> com
 # Renyi entropy
 # ----------------------------------------------------------------------
 
-def renyi_entropy(
-    kind: ModelKind, p, delta: float, opts: QuadOptions = QuadOptions()
-) -> float:
+def _order(delta) -> float:
+    """The Renyi order as a float, which must be positive, finite and != 1."""
+    delta = float(delta)
+    if not 0.0 < delta < math.inf or delta == 1.0:
+        raise DomainError(f"Renyi order must be positive, finite and != 1, got {delta!r}")
+    return delta
+
+
+def renyi_entropy(kind: ModelKind, p, delta: float) -> float:
     """Renyi entropy of order delta: log(integral of exp(delta*log_pdf)) / (1 - delta).
 
     Quadrature is the primary definition here.  For shape parameters below
@@ -447,15 +449,13 @@ def renyi_entropy(
     once ``delta * (shape - 1) <= -1``; that case raises
     :class:`QuadFailure` instead of returning a garbage number.
     """
-    delta = float(delta)
-    if delta <= 0.0 or delta == 1.0:
-        raise DomainError(f"Renyi order must be positive and != 1, got {delta!r}")
+    delta = _order(delta)
     params, typed = _validated(kind, p)
     if delta * _MODELS[kind].edge_exponent(params) <= -1.0:
         raise QuadFailure(
             f"pdf**{delta:g} is not integrable at 0 for {kind.value} with these parameters"
         )
-    value = _integral(kind, typed, lambda x: delta * log_pdf(kind, typed, x), opts)
+    value = _integral(kind, typed, lambda x: delta * log_pdf(kind, typed, x))
     return math.log(value) / (1.0 - delta)
 
 
@@ -476,9 +476,7 @@ def renyi_entropy_series(
     Non-integrable parameter combinations surface as
     :class:`SeriesDivergence` (the tail exponent drops to 1 or below).
     """
-    delta = float(delta)
-    if delta <= 0.0 or delta == 1.0:
-        raise DomainError(f"Renyi order must be positive and != 1, got {delta!r}")
+    delta = _order(delta)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
     power = delta * (theta - 1.0)
     prefactor = (theta * lam) ** delta / (lam * _EM1 ** (theta * delta))

@@ -181,6 +181,10 @@ def cmd_sample(config) -> int:
 
 
 def cmd_plotdata(config) -> int:
+    if config.grid_points < 1:
+        raise DomainError(f"--grid-points must be >= 1, got {config.grid_points}")
+    if not 0.0 < config.grid_quantile < 1.0:
+        raise DomainError(f"--grid-quantile must lie in (0, 1), got {config.grid_quantile!r}")
     data = load_dataset(config.data)
     if config.params:
         if not config.model:

@@ -542,12 +542,17 @@ def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
 
     One float on the support of ``pdf``, the cf oracle's case, skips the
     masks and goes straight to the kernel, which silences its own overflow.
+    The quantile's probabilities must lie in [0, 1) or be NaN.
     """
     params = _coerce(kind, p)
     kernel = getattr(_MODELS[kind], kernel_name)
     if kernel_name == "pdf" and isinstance(x, float) and x >= 0.0:
         return float(kernel(params, np.array([x]))[0])
     arr, scalar = _split_input(x)
+    if kernel_name == "quantile":
+        valid = np.isnan(arr) | ((arr >= 0.0) & (arr < 1.0))
+        if not np.all(valid):
+            raise DomainError(f"quantile requires 0 <= q < 1, got {float(arr[~valid][0])!r}")
     return _wrap_output(_on_support(kernel, params, arr, fill, closed), scalar)
 
 
@@ -613,18 +618,9 @@ def quantile(kind: ModelKind, p, q: ArrayLike):
     ``q`` must lie in [0, 1); the essential supremum at q = 1 is infinite
     and raises :class:`DomainError`, as do negative probabilities.
     """
-    params = _coerce(kind, p)
-    arr, scalar = _split_input(q)
-    valid = np.isnan(arr) | ((arr >= 0.0) & (arr < 1.0))
-    if not np.all(valid):
-        bad = float(arr[~valid][0])
-        raise DomainError(f"quantile requires 0 <= q < 1, got {bad!r}")
-    # log(0) = -inf, at q = 0 (set to 0 below) or where 1 - q**(1/shape)
-    # underflows, gives the correct limit, so the divide warning is noise
-    with np.errstate(divide="ignore"):
-        out = _blocked(_MODELS[kind].quantile, params, arr)
-    out[arr == 0.0] = 0.0
-    return _wrap_output(out, scalar)
+    # log(0) = -inf, at q = 0 (filled with 0) or where 1 - q**(1/shape)
+    # underflows, gives the correct limit
+    return _evaluate(kind, p, q, "quantile", 0.0)
 
 
 def median(p: PgduseParams) -> float:

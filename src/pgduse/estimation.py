@@ -12,9 +12,10 @@ slope in the bracket, found by ``brentq``.  The exponential model takes its
 closed-form estimate n / sum(x) and skips both steps.
 
 Every fit is certified the same way: the score per log-parameter,
-p * grad(logL), has norm at most ``grad_tol * n``, and the profile
-curvature in the log-rate is negative.  Both are unchanged when the data
-are rescaled.
+p * grad(logL), has norm at most 1e-6 * n, and the profile curvature in
+the log-rate is negative.  Both are unchanged when the data are
+rescaled.  The tolerances are fixed; the one option is the iteration
+budget, ``FitOptions.max_iters``.
 """
 
 from __future__ import annotations
@@ -54,25 +55,21 @@ _MAX_RATE_STEPS = 64
 _MAX_LOG_RATE = math.log(np.finfo(float).max)
 # log-rate offset of the central difference that signs the curvature
 _CURVATURE_STEP = 1e-4
+# a fit is certified when the score per log-parameter has norm <= this * n
+_GRAD_TOL = 1e-6
+# log-rate tolerance of the root-find
+_STEP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Controls for the profile-likelihood root-find.
+    """Iteration budget of the profile-likelihood root-find.
 
     ``max_iters`` bounds the ``brentq`` iterations; a fit that runs out of
-    them is reported as not converged.  ``step_tol`` is the log-rate
-    tolerance of ``brentq``, and a fit is certified when the norm of the
-    score per log-parameter is at most ``grad_tol * n``.
+    them is reported as not converged.
     """
 
     max_iters: int = 5000
-    grad_tol: float = 1e-6
-    step_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.grad_tol <= 0.0 or self.step_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,9 +217,9 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
     of the profile slope and finds its root with one ``brentq``, whose
     iterations ``iterations`` counts (0 for ED).  Where the walk finds no
     sign change, the fit reports the last log-rate of the walk.
-    ``converged`` requires a bracketed root found within ``opts.max_iters``,
-    a score per log-parameter with norm at most ``grad_tol * n``
-    (``grad_norm``) and a negative profile curvature.
+    ``converged`` requires a bracketed root found within ``opts.max_iters``
+    (to a log-rate tolerance of 1e-10), a score per log-parameter with
+    norm at most 1e-6 * n (``grad_norm``) and a negative profile curvature.
 
     Raises DomainError when n / sum(x) is not a positive finite double:
     the sample must then be rescaled.
@@ -249,7 +246,7 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
         if found:
             from scipy.optimize import brentq
             u, info = brentq(
-                slope, a, b, xtol=opts.step_tol, maxiter=opts.max_iters,
+                slope, a, b, xtol=_STEP_TOL, maxiter=opts.max_iters,
                 full_output=True, disp=False,
             )
             found, iterations = info.converged, info.iterations
@@ -265,7 +262,7 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
         kind=kind,
         params=params,
         log_likelihood=value,
-        converged=found and grad_norm <= opts.grad_tol * data.n and curvature < 0.0,
+        converged=found and grad_norm <= _GRAD_TOL * data.n and curvature < 0.0,
         iterations=iterations,
         grad_norm=grad_norm,
     )

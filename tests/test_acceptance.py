@@ -45,7 +45,7 @@ from scipy.integrate import quad
 
 GRID_LAMBDAS = (0.5, 1.0, 2.0)
 GRID_THETAS = (0.5, 1.0, 2.0, 5.0)
-ACC = SeriesOptions(abs_tol=1e-12, max_terms=400)
+ACC = SeriesOptions(max_terms=400)
 
 
 def close(label, got, want, tol):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -11,7 +12,6 @@ from pgduse import (
     ModelKind,
     PgduseParams,
     QuadFailure,
-    QuadOptions,
     SeriesDivergence,
     SeriesOptions,
     central_moment,
@@ -35,7 +35,7 @@ from conftest import GRID_LAMBDAS, GRID_THETAS
 E = math.e
 
 # wide enough for the slow non-integer-theta tails; tail closure does the rest
-ACC = SeriesOptions(abs_tol=1e-12, max_terms=400)
+ACC = SeriesOptions(max_terms=400)
 
 
 def two_sum_moment_theta2(lam, r, m_terms=60):
@@ -174,14 +174,14 @@ def test_truncation_monotonicity_where_series_terminates():
     # integer theta terminates exactly; a larger budget cannot move the value
     for theta in (1.0, 2.0, 5.0):
         p = PgduseParams(1.0, theta)
-        small = raw_moment_series(p, 2, SeriesOptions(abs_tol=1e-12, max_terms=200))
-        large = raw_moment_series(p, 2, SeriesOptions(abs_tol=1e-12, max_terms=1000))
+        small = raw_moment_series(p, 2, SeriesOptions(max_terms=200))
+        large = raw_moment_series(p, 2, SeriesOptions(max_terms=1000))
         assert abs(small - large) <= 1e-12
 
 
 def test_series_divergence_when_budget_too_small():
     with pytest.raises(SeriesDivergence):
-        raw_moment_series(PgduseParams(1.0, 0.5), 1, SeriesOptions(abs_tol=1e-12, max_terms=12))
+        raw_moment_series(PgduseParams(1.0, 0.5), 1, SeriesOptions(max_terms=12))
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +374,17 @@ def test_quadrature_refuses_an_open_interval(monkeypatch):
         raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), 1)
 
 
+def test_quadpack_gate_refuses_a_flagged_result(monkeypatch):
+    # a result QUADPACK flags (a fourth item, its message) is refused even
+    # when its error estimate is tiny; the cf imports quad at each call
+    def flagged(*args, **kwargs):
+        return 0.5, 1e-13, {}, "roundoff error is detected"
+
+    monkeypatch.setattr(scipy.integrate, "quad", flagged)
+    with pytest.raises(QuadFailure):
+        cf_quadrature((1, 2), 1.0)
+
+
 def test_quadrature_at_a_small_shape():
     # at theta = 1e-3 the lower cut quantiles underflow to 0 and merge,
     # and the intervals below 1e-125, where x**4 * pdf underflows to 0,
@@ -388,6 +399,17 @@ def test_renyi_domain_checks():
         renyi_entropy(ModelKind.ED, (1.0,), 1.0)
     with pytest.raises(DomainError):
         renyi_entropy_series(PgduseParams(1.0, 1.0), -0.5)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("fn", [
+    mgf, mgf_quadrature, cf, cgf, cf_quadrature,
+    lambda p, delta: renyi_entropy(ModelKind.PGDUSE, p, delta), renyi_entropy_series,
+], ids=["mgf", "mgf_quadrature", "cf", "cgf", "cf_quadrature", "renyi_entropy",
+        "renyi_entropy_series"])
+def test_non_finite_argument_is_a_domain_error(fn, value):
+    with pytest.raises(DomainError):
+        fn(PgduseParams(1.0, 2.0), value)
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +449,14 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
         validated.append(kind)
         return real_validate(kind, raw)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a quadrature node went through the masked array path")
+    real_on_support = pgduse.distributions._on_support
+    cutoff_quantile = pgduse.distributions._MODELS[ModelKind.PGDUSE].quantile
+
+    def refuse(kernel, *args):
+        # the cf's one quantile call, for its cutoff, is not a node
+        if kernel is not cutoff_quantile:
+            raise AssertionError("a quadrature node went through the masked array path")
+        return real_on_support(kernel, *args)
 
     monkeypatch.setattr(pgduse.distributions, "validate_params", counting_validate)
     routes = [
@@ -480,8 +508,10 @@ def test_one_float_at_a_huge_shape_warns_nothing(kind, params):
 
 def test_options_validation():
     with pytest.raises(DomainError):
-        SeriesOptions(abs_tol=0.0)
-    with pytest.raises(DomainError):
         SeriesOptions(max_terms=0)
-    with pytest.raises(DomainError):
-        QuadOptions(rel_tol=-1.0)
+
+
+def test_only_the_budgets_are_options():
+    assert [f.name for f in dataclasses.fields(SeriesOptions)] == ["max_terms"]
+    assert [f.name for f in dataclasses.fields(pgduse.FitOptions)] == ["max_iters"]
+    assert not hasattr(pgduse, "QuadOptions")

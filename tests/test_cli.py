@@ -248,6 +248,18 @@ def test_plotdata_grid_flags(tmp_path, capsys):
     assert rows.shape == (64, 2)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--grid-points", "-5"), ("--grid-quantile", "nan"), ("--grid-quantile", "0"),
+])
+def test_plotdata_invalid_grid_is_an_error(tmp_path, capsys, flag, value):
+    prefix = tmp_path / "bad"
+    code, out, err = run(capsys, "plotdata", "--data", "lawless", "--models", "ed",
+                         flag, value, "--out", str(prefix))
+    assert code == 1
+    assert err.startswith("error:") and flag in err
+    assert out == "" and not os.path.exists(f"{prefix}_density.tsv")
+
+
 def test_plotdata_explicit_params(tmp_path, capsys):
     prefix = tmp_path / "explicit"
     code = main(["plotdata", "--data", "lawless", "--model", "pgduse",
