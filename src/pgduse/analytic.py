@@ -7,7 +7,8 @@ Each analytic quantity comes in two independent routes:
 * a quadrature route that integrates the density directly: one
   tanh-sinh integral of a log-space integrand over the half-line, its
   nodes passed to ``log_pdf`` as arrays, or for the cf QUADPACK's
-  Fourier weights, one float per node, straight to the density kernel.
+  Fourier weights, one float per distinct node, straight to the density
+  kernel.
 
 The series route is exact term-for-term for integer ``theta`` (the
 expansion terminates), and for non-integer ``theta`` the terms decay like
@@ -38,6 +39,7 @@ cancel.  The outer sum over k does cancel, so those means are summed in
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -50,6 +52,7 @@ from .distributions import (
     ModelKind,
     PgduseParams,
     _coerce,
+    _count,
     log_pdf,
     pdf,
     quantile,
@@ -84,14 +87,13 @@ _REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SeriesOptions:
-    """Term budget of the series expansions: a series still running after
-    ``max_terms`` terms has its tail closed by a power-law fit."""
+    """Term budget of the series expansions, an integer >= 1: a series still
+    running after ``max_terms`` terms has its tail closed by a power-law fit."""
 
     max_terms: int = 200
 
     def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
+        object.__setattr__(self, "max_terms", _count("max_terms", self.max_terms, 1))
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +335,8 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     SeriesDivergence
         If the term budget is exhausted and tail closure is impossible.
     """
-    if r < 1 or int(r) != r:
-        raise DomainError(f"moment order must be a positive integer, got {r!r}")
+    r = _count("moment order", r, 1)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    r = int(r)
     prefactor = theta * math.factorial(r) / (_EM1 ** theta * lam ** r)
     exponent = -(r + 1.0)
     kernel = _binomial_series(theta - 1.0, theta, lambda m: (m + 1.0) ** exponent,
@@ -349,8 +349,7 @@ def raw_moment_quadrature(kind: ModelKind, p, r: int) -> float:
 
     The independent oracle for :func:`raw_moment_series`.
     """
-    if r < 1 or int(r) != r:
-        raise DomainError(f"moment order must be a positive integer, got {r!r}")
+    r = _count("moment order", r, 1)
     _, typed = _validated(kind, p)
     return _integral(kind, typed, lambda x: r * np.log(x) + log_pdf(kind, typed, x))
 
@@ -403,14 +402,19 @@ def cf_quadrature(p: PgduseParams, t: float) -> complex:
     tanh-sinh cannot certify a Fourier integral at large |t|/lambda, it
     uses the QUADPACK cosine/sine weights on the bulk of the support; an
     initial plain slice absorbs the density singularity at 0 (theta < 1).
-    A piece that QUADPACK flags raises :class:`QuadFailure`.
+    A piece that QUADPACK flags raises :class:`QuadFailure`.  The cos and
+    sin passes over each piece place most nodes at the same x, so the
+    density is cached for the duration of one call: each distinct node
+    costs one ``pdf`` call, and the values are those of one call per node.
     """
     (lam, _), typed = _validated(ModelKind.PGDUSE, p)
     t = _argument(t)
     if t == 0.0:
         return complex(_integral(ModelKind.PGDUSE, typed,
                                  lambda x: log_pdf(ModelKind.PGDUSE, typed, x)))
-    density = lambda x: pdf(ModelKind.PGDUSE, typed, x)
+    # a cache that outlived the call would serve a repeated (p, t) without
+    # computing it
+    density = functools.cache(lambda x: pdf(ModelKind.PGDUSE, typed, x))
     # the cutoff: the far quantile plus an exponential-decay margin
     top = float(quantile(ModelKind.PGDUSE, typed, 1.0 - 1e-13)) + 45.0 / lam
     split = min(0.05 / abs(t), top / 8.0)
@@ -508,7 +512,7 @@ def central_moment(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptions(
         raise DomainError(f"central moments implemented for r in 1..4, got {r!r}")
     if r == 1:
         return 0.0
-    m = [raw_moment_series(p, i, opts) for i in range(1, r + 1)]
+    m = [raw_moment_series(p, i, opts) for i in range(1, int(r) + 1)]
     if r == 2:
         return m[1] - m[0] ** 2
     if r == 3:

@@ -110,6 +110,17 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an int, which must be integral and >= ``low``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class PgduseParams:
     """Rate lam (1/time) and shape theta (dimensionless), both > 0."""
@@ -542,12 +553,15 @@ def _evaluate(kind: ModelKind, p, x: ArrayLike, kernel_name: str, fill: float,
 
     One float on the support of ``pdf``, the cf oracle's case, skips the
     masks and goes straight to the kernel, which silences its own overflow.
+    It goes as a numpy scalar, not a one-point array: scalar arithmetic
+    skips the array machinery, and the ufuncs run the same loops, so the
+    value is the same bit for bit.
     The quantile's probabilities must lie in [0, 1) or be NaN.
     """
     params = _coerce(kind, p)
     kernel = getattr(_MODELS[kind], kernel_name)
     if kernel_name == "pdf" and isinstance(x, float) and x >= 0.0:
-        return float(kernel(params, np.array([x]))[0])
+        return float(kernel(params, np.float64(x)))
     arr, scalar = _split_input(x)
     if kernel_name == "quantile":
         valid = np.isnan(arr) | ((arr >= 0.0) & (arr < 1.0))
@@ -629,16 +643,15 @@ def median(p: PgduseParams) -> float:
 
 
 def sample(kind: ModelKind, p, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` variates by inverse-transform sampling.
+    """Draw ``n`` variates by inverse-transform sampling; ``n`` is an integer >= 0.
 
     Deterministic for a fixed ``seed``; every returned value is strictly
     positive.  The closed-form quantile makes rejection schemes unnecessary.
     """
     params = _coerce(kind, p)
-    if n < 0:
-        raise DomainError(f"sample size must be >= 0, got {n}")
+    n = _count("sample size", n, 0)
     rng = np.random.default_rng(seed)
-    u = rng.random(int(n))
+    u = rng.random(n)
     # open the lower endpoint so the transform stays positive
     while np.any(u == 0.0):
         zeros = u == 0.0

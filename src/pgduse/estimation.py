@@ -32,6 +32,7 @@ from .distributions import (
     ParamVector,
     ScalarParam,
     _coerce,
+    _count,
     _log_f,
     _pg_log_ratio,
     log_pdf,
@@ -65,11 +66,14 @@ _STEP_TOL = 1e-10
 class FitOptions:
     """Iteration budget of the profile-likelihood root-find.
 
-    ``max_iters`` bounds the ``brentq`` iterations; a fit that runs out of
-    them is reported as not converged.
+    ``max_iters``, an integer >= 0, bounds the ``brentq`` iterations; a
+    fit that runs out of them is reported as not converged.
     """
 
     max_iters: int = 5000
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_iters", _count("max_iters", self.max_iters, 0))
 
 
 @dataclass(frozen=True)

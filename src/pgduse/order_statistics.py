@@ -24,6 +24,7 @@ from .distributions import (
     ModelKind,
     PgduseParams,
     _coerce,
+    _count,
     _on_support,
     _split_input,
     _wrap_output,
@@ -42,12 +43,11 @@ class OrderSpec:
     r: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"sample size must be an integer >= 1, got {self.n!r}")
-        if int(self.r) != self.r or not 1 <= self.r <= self.n:
-            raise DomainError(f"rank must be an integer in [1, {self.n}], got {self.r!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r", int(self.r))
+        n, r = _count("sample size", self.n, 1), _count("rank", self.r, 1)
+        if r > n:
+            raise DomainError(f"rank must be an integer in [1, {n}], got {self.r!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
 
 
 def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import pgduse.analytic
 import pgduse.distributions
 from pgduse import (
     DomainError,
@@ -25,6 +26,7 @@ from pgduse import (
     raw_moment_series,
     renyi_entropy,
     renyi_entropy_series,
+    sample,
     skewness,
     variance,
 )
@@ -427,8 +429,6 @@ def test_central_moment_identities():
 
 def test_skewness_kurtosis_against_sample():
     p = PgduseParams(1.0, 2.0)
-    from pgduse import sample
-
     xs = sample(ModelKind.PGDUSE, p, 200000, seed=4)
     centred = xs - xs.mean()
     sk = np.mean(centred ** 3) / np.mean(centred ** 2) ** 1.5
@@ -481,17 +481,56 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
 @pytest.mark.parametrize("kind, params", [
     (ModelKind.PGDUSE, (1.0, 0.5)), (ModelKind.PGDUSE, (1.3, 2.5)), (ModelKind.GDUSE, (0.5, 2.3)),
     (ModelKind.DUSE, (0.8,)), (ModelKind.KME, (1.0,)), (ModelKind.ED, (2.0,)),
+    (ModelKind.PGDUSE, (1.0, 0.05)), (ModelKind.PGDUSE, (2.0, 1e3)),
 ])
 def test_one_float_matches_the_array_path(kind, params):
-    # the one-float shortcut, which serves the cf's QUADPACK nodes, agrees
-    # bit for bit with a one-point array
+    # the one-float shortcut, which serves the cf's QUADPACK nodes on a
+    # numpy scalar, agrees bit for bit with a one-point array, also on
+    # both sides of lam*x = ln 2, where _pg_log_ratio switches branches
     fns = (pgduse.distributions.pdf, pgduse.distributions.log_pdf, pgduse.distributions.cdf,
            pgduse.distributions.survival)
-    for x in (-1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 7.0, 60.0, 800.0, math.inf, math.nan):
+    switch = math.log(2.0) / params[0]
+    for x in (-1.0, -0.0, 0.0, 5e-324, 1e-300, 0.3, 7.0, 60.0, 800.0, math.inf, math.nan,
+              switch, math.nextafter(switch, 0.0), math.nextafter(switch, math.inf)):
         for fn in fns:
             one, arr = fn(kind, params, x), fn(kind, params, np.array([x]))[0]
             assert isinstance(one, float)
             assert one == arr or (math.isnan(one) and math.isnan(arr)), (fn.__name__, x)
+
+
+# cf_quadrature with one pdf call per QUADPACK node and no cache
+CF_ONE_CALL_PER_NODE = {
+    ((1.0, 0.05), -3.0): "(0.8958859723319099-0.06996247842603477j)",
+    ((1.0, 0.05), 0.3): "(0.992729080282948+0.029741979946006757j)",
+    ((1.0, 0.05), 30.0): "(0.7968836180730205+0.06271569341066391j)",
+    ((1.0, 2.5), -3.0): "(-0.08304019363559703+0.018460591584971927j)",
+    ((1.0, 2.5), 0.3): "(0.7736892395915494+0.5295378881938194j)",
+    ((1.0, 2.5), 30.0): "(-0.0001241234802916233-0.00012403864028481777j)",
+    ((2.0, 1e3), -3.0): "(0.06275693107349517+0.2842605671593229j)",
+    ((2.0, 1e3), 0.3): "(0.3646794892954379+0.9115606145042666j)",
+    ((2.0, 1e3), 30.0): "(-4.433072790352064e-10+3.9230188542127564e-10j)",
+}
+
+
+@pytest.mark.parametrize("params, t", CF_ONE_CALL_PER_NODE)
+def test_cf_quadrature_evaluates_each_node_once(monkeypatch, params, t):
+    # the four QUADPACK passes share most nodes; each distinct node costs
+    # one pdf call, through the name the bench tracer wraps, and the values
+    # stay those of one call per node to the last bit
+    nodes = []
+    real_pdf = pgduse.analytic.pdf
+
+    def counting_pdf(kind, typed, x):
+        nodes.append(x)
+        return real_pdf(kind, typed, x)
+
+    monkeypatch.setattr(pgduse.analytic, "pdf", counting_pdf)
+    assert repr(cf_quadrature(params, t)) == CF_ONE_CALL_PER_NODE[params, t]
+    assert len(nodes) == len(set(nodes)) > 0
+    # the cache lives for one call: a second call evaluates every node again
+    nodes.clear()
+    cf_quadrature(params, t)
+    assert len(nodes) == len(set(nodes)) > 0
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -509,6 +548,25 @@ def test_one_float_at_a_huge_shape_warns_nothing(kind, params):
 def test_options_validation():
     with pytest.raises(DomainError):
         SeriesOptions(max_terms=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: SeriesOptions(max_terms=v),
+    lambda v: sample(ModelKind.ED, (1.0,), v, 1),
+    lambda v: pgduse.OrderSpec(v, 1),
+    lambda v: pgduse.OrderSpec(3, v),
+    lambda v: raw_moment_series((1.0, 2.0), v),
+    lambda v: raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), v),
+], ids=["max_terms", "sample_size", "order_n", "order_r", "moment_series", "moment_quadrature"])
+def test_budgets_and_sizes_are_integers(make):
+    # refused up front: range() would raise a bare TypeError, int(nan) a
+    # ValueError, and int(n) would draw fewer values than asked
+    for value in (2.5, math.nan, math.inf, "3"):
+        with pytest.raises(DomainError):
+            make(value)
+    assert SeriesOptions(max_terms=np.int64(60)).max_terms == 60
+    assert sample(ModelKind.ED, (1.0,), np.int32(3), 1).shape == (3,)
+    assert central_moment((1.0, 2.0), 2.0) == central_moment((1.0, 2.0), 2)
 
 
 def test_only_the_budgets_are_options():
