@@ -202,10 +202,11 @@ def cmd_plotdata(config) -> int:
     tags = [k.value for k in order]
 
     def write_grid(path, header_cols, columns):
+        # tolist() yields Python floats, so each token is repr(float(value))
+        rows = np.column_stack(columns).tolist()
+        lines = [" ".join(header_cols)] + [" ".join(map(repr, row)) for row in rows]
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(" ".join(header_cols) + "\n")
-            for i in range(len(grid)):
-                handle.write(" ".join(repr(float(col[i])) for col in columns) + "\n")
+            handle.write("\n".join(lines) + "\n")
 
     density_cols = [grid] + [np.asarray(pdf(k, fitted[k], grid)) for k in order]
     hazard_cols = [grid] + [np.asarray(hazard(k, fitted[k], grid)) for k in order]

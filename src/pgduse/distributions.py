@@ -288,19 +288,25 @@ def _far_tail(log_sf: np.ndarray, rx: np.ndarray, offset: float, exact=None) -> 
     return np.where(rx > _TAIL, far, log_sf)
 
 
-def _pg_log_ratio(lam: float, x: np.ndarray) -> np.ndarray:
-    """log G1 = log((exp(1 - exp(-lam*x)) - 1) / (e - 1)), accurate at both tails.
+def _pg_parts(lam: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """lam*x, exp(-lam*x), t = -expm1(-lam*x) and expm1(t): log G1's temporaries."""
+    lx = lam * x
+    t = -np.expm1(-lx)
+    return lx, np.exp(-lx), t, np.expm1(t)
+
+
+def _pg_log_ratio(parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """log G1 = log((exp(1 - exp(-lam*x)) - 1) / (e - 1)) from ``_pg_parts``.
 
     Below t = 1 - exp(-lam*x) = 1/2 the direct log(expm1(t)) keeps the
     x -> 0 behaviour exact; above it the ratio is rewritten as
     1 + e*expm1(-exp(-lam*x))/(e-1) so the x -> inf end never cancels.
     Returns -inf at x = 0.
     """
-    lx = lam * x
-    t = -np.expm1(-lx)
+    _, e, t, expm1_t = parts
     with np.errstate(divide="ignore"):
-        small = np.log(np.expm1(t)) - _LOG_EM1
-        z = _E * np.expm1(-np.exp(-lx)) / _EM1
+        small = np.log(expm1_t) - _LOG_EM1
+        z = _E * np.expm1(-e) / _EM1
         # float rounding can land a hair below -1 at x = 0
         big = np.log1p(np.maximum(z, -1.0))
     return np.where(t < 0.5, small, big)
@@ -321,14 +327,14 @@ def _wrap_output(values: np.ndarray, scalar: bool):
 
 def _pg_log_cdf(params, x):
     lam, theta = params
-    return theta * _pg_log_ratio(lam, x)
+    return theta * _pg_log_ratio(_pg_parts(lam, x))
 
 
 def _pg_log_sf(params, x):
     lam, theta = params
     # log(1 - G1**theta); far out 1 - G1 = e*exp(-lam*x)/(e-1), and the
     # survival is 1 - exp(-theta times that)
-    return _far_tail(_log1mexp(-theta * _pg_log_ratio(lam, x)), lam * x,
+    return _far_tail(_log1mexp(-theta * _pg_log_ratio(_pg_parts(lam, x))), lam * x,
                      math.log(theta) + _LOG_E_EM1, lambda y: _log1mexp(np.exp(y)))
 
 
@@ -339,7 +345,7 @@ def _pg_log_pdf(params, x):
     out = math.log(theta) + math.log(lam) - _LOG_EM1 + 1.0 - lam * x - np.exp(-lam * x)
     if theta != 1.0:
         # (theta-1)*(-inf) at x=0 encodes the 0 / +inf density limit
-        out = out + (theta - 1.0) * _pg_log_ratio(lam, x)
+        out = out + (theta - 1.0) * _pg_log_ratio(_pg_parts(lam, x))
     return out
 
 

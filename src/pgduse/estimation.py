@@ -9,7 +9,9 @@ profile log-likelihood is the rate component of the analytic score at the
 profiled shape.  The fit steps the rate by factors of 2 from n / sum(x)
 until that slope changes sign, and the maximum is then the one root of the
 slope in the bracket, found by ``brentq``.  The exponential model takes its
-closed-form estimate n / sum(x) and skips both steps.
+closed-form estimate n / sum(x) and skips both steps.  Each model's
+profile (``_PROFILES``) gives the shape and the slope in one pass, and a
+memo that lives for one fit evaluates no log-rate twice.
 
 Every fit is certified the same way: the score per log-parameter,
 p * grad(logL), has norm at most 1e-6 * n, and the profile curvature in
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _MODELS,
     Dataset,
     ModelKind,
     ParamVector,
@@ -35,6 +36,7 @@ from .distributions import (
     _count,
     _log_f,
     _pg_log_ratio,
+    _pg_parts,
     log_pdf,
     validate_params,
 )
@@ -86,6 +88,8 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float
+    # distinct log-rates at which the fit evaluated its profile slope
+    slope_evaluations: int
 
     def param_dict(self) -> dict[str, float]:
         return dict(zip(self.kind.param_names, self.params.as_tuple()))
@@ -98,6 +102,16 @@ def log_likelihood(kind: ModelKind, p, data: Dataset) -> float:
     return float(np.sum(log_pdf(kind, p, data.observations)))
 
 
+def _pg_d_lam(lam: float, theta: float, data: Dataset, parts) -> float:
+    """d logL / d lambda of PGDUSE, from the ``_pg_parts`` at ``lam``."""
+    x = data.observations
+    lx, e, _, expm1_t = parts
+    # x * exp(1 - lam*x - exp(-lam*x)) / (exp(1 - exp(-lam*x)) - 1); both
+    # factors are evaluated through expm1 so the x -> 0 ratio x/t survives
+    ratio = x * np.exp(1.0 - lx - e) / expm1_t
+    return data.n / lam - data.total + np.sum(x * e) + (theta - 1.0) * np.sum(ratio)
+
+
 def score_pgduse(p, data: Dataset) -> np.ndarray:
     """Analytic gradient (d/d lambda, d/d theta) of the PGDUSE log-likelihood.
 
@@ -105,29 +119,27 @@ def score_pgduse(p, data: Dataset) -> np.ndarray:
     roundoff; its lambda component is the slope of the PGDUSE profile.
     """
     lam, theta = _coerce(ModelKind.PGDUSE, p)
+    parts = _pg_parts(lam, data.observations)
+    d_theta = data.n / theta + np.sum(_pg_log_ratio(parts))
+    return np.array([_pg_d_lam(lam, theta, data, parts), d_theta])
+
+
+def _gduse_d_beta(alpha: float, beta: float, fa: np.ndarray, data: Dataset) -> float:
+    """d logL / d beta of GDUSE, with fa = F**alpha."""
     x = data.observations
-    n = data.n
-    d = np.exp(-lam * x)
-    # x * exp(1 - lam*x - exp(-lam*x)) / (exp(1 - exp(-lam*x)) - 1); both
-    # factors are evaluated through expm1 so the x -> 0 ratio x/t survives
-    ratio = x * np.exp(1.0 - lam * x - d) / np.expm1(-np.expm1(-lam * x))
-    d_lam = n / lam - x.sum() + np.sum(x * d) + (theta - 1.0) * np.sum(ratio)
-    d_theta = n / theta + np.sum(_pg_log_ratio(lam, x))
-    return np.array([d_lam, d_theta])
+    # d log F / d beta = x / expm1(beta*x), which is 0 once expm1 overflows
+    with np.errstate(over="ignore"):
+        dlogf = x / np.expm1(beta * x)
+    return data.n / beta - data.total + np.sum((alpha * fa + alpha - 1.0) * dlogf)
 
 
 def _score_gduse(params: tuple[float, ...], data: Dataset) -> np.ndarray:
     """Analytic gradient (d/d alpha, d/d beta) of the GDUSE log-likelihood."""
     alpha, beta = params
-    x = data.observations
-    log_f = _log_f(beta, x)
+    log_f = _log_f(beta, data.observations)
     fa = np.exp(alpha * log_f)
     d_alpha = data.n / alpha + np.sum(log_f * (1.0 + fa))
-    # d log F / d beta = x / expm1(beta*x), which is 0 once expm1 overflows
-    with np.errstate(over="ignore"):
-        dlogf = x / np.expm1(beta * x)
-    d_beta = data.n / beta - data.total + np.sum((alpha * fa + alpha - 1.0) * dlogf)
-    return np.array([d_alpha, d_beta])
+    return np.array([d_alpha, _gduse_d_beta(alpha, beta, fa, data)])
 
 
 def _score_kme(params: tuple[float, ...], data: Dataset) -> np.ndarray:
@@ -146,8 +158,22 @@ _SCORES = {
 }
 
 
-def _gduse_alpha_hat(beta: float, data: Dataset) -> float | None:
-    """The alpha maximizing the GDUSE likelihood at ``beta``, or None.
+# Profiles: at a rate, the parameters with the shape at its maximizer and
+# the profile slope, which by the envelope theorem is the rate component of
+# the score there.  None once sum(log G1) (PGDUSE) or sum(log F) (GDUSE)
+# rounds to 0: the best shape would be infinite.
+
+def _pgduse_profile(rate: float, data: Dataset):
+    parts = _pg_parts(rate, data.observations)
+    total = float(np.sum(_pg_log_ratio(parts)))
+    theta = -data.n / total if total < 0.0 else math.inf
+    if not 0.0 < theta < math.inf:
+        return None
+    return (rate, theta), _pg_d_lam(rate, theta, data, parts)
+
+
+def _gduse_profile(beta: float, data: Dataset):
+    """The best alpha at ``beta``, and the slope.
 
     With L = log F(x; beta) < 0, the alpha score
     h(alpha) = n/alpha + sum(L * (1 + exp(alpha*L))) is strictly
@@ -156,34 +182,29 @@ def _gduse_alpha_hat(beta: float, data: Dataset) -> float | None:
     [n / (-2 sum L), n / (-sum L)].  There is none once sum(L) rounds to 0.
     """
     log_f = _log_f(beta, data.observations)
-    total = float(np.sum(log_f))
+    n, total = data.n, float(np.sum(log_f))
     # that interval widened by 2 at each end, so rounding cannot flip a sign
-    hi = 2.0 * data.n / -total if total < 0.0 else math.inf
+    hi = 2.0 * n / -total if total < 0.0 else math.inf
     if not 0.0 < hi < math.inf:
         return None
 
     def alpha_score(alpha: float) -> float:
-        return data.n / alpha + total + float(np.dot(log_f, np.exp(alpha * log_f)))
+        return n / alpha + total + float(np.dot(log_f, np.exp(alpha * log_f)))
 
     from scipy.optimize import brentq
-    return brentq(alpha_score, hi / 8.0, hi)
+    alpha = brentq(alpha_score, hi / 8.0, hi)
+    return (alpha, beta), _gduse_d_beta(alpha, beta, np.exp(alpha * log_f), data)
 
 
-def _profile(kind: ModelKind, rate: float, data: Dataset) -> tuple[float, ...] | None:
-    """Parameters at ``rate`` with the shape at its maximizer.
-
-    Returns None where the profile does not exist, which is once
-    sum(log G1) (PGDUSE) or sum(log F) (GDUSE) rounds to 0: the best shape
-    would be infinite.
-    """
-    if kind is ModelKind.PGDUSE:
-        total = float(np.sum(_pg_log_ratio(rate, data.observations)))
-        theta = -data.n / total if total < 0.0 else math.inf
-        return (rate, theta) if 0.0 < theta < math.inf else None
-    if kind is ModelKind.GDUSE:
-        alpha = _gduse_alpha_hat(rate, data)
-        return None if alpha is None else (alpha, rate)
-    return (rate,)
+_PROFILES = {
+    ModelKind.PGDUSE: _pgduse_profile,
+    ModelKind.GDUSE: _gduse_profile,
+    # theta = 1 needs no log G1; the 0 * ratio term keeps the score's NaNs
+    ModelKind.DUSE: lambda rate, data: (
+        (rate,), _pg_d_lam(rate, 1.0, data, _pg_parts(rate, data.observations))),
+    ModelKind.KME: lambda rate, data: ((rate,), _score_kme((rate,), data)[0]),
+    ModelKind.ED: lambda rate, data: ((rate,), data.n / rate - data.total),
+}
 
 
 def _bracket(slope, u0: float) -> tuple[float, float, bool]:
@@ -234,16 +255,21 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
     if not 0.0 < rate < math.inf:
         raise DomainError(f"n / sum(x) = {rate!r} is not a finite positive rate; "
                           "rescale the sample")
-    score = _SCORES[kind]
-    rate_index = _MODELS[kind].rate_index
+    profile = _PROFILES[kind]
+    # (params, slope) or None by log-rate, for this fit only
+    memo: dict[float, tuple | None] = {}
+
+    def evaluate(u: float):
+        if u not in memo:
+            memo[u] = profile(math.exp(u), data) if u < _MAX_LOG_RATE else None
+        return memo[u]
 
     def slope(u: float) -> float:
-        """Profile slope in the rate at log-rate u: the score's rate component."""
-        params = _profile(kind, math.exp(u), data) if u < _MAX_LOG_RATE else None
-        return math.nan if params is None else float(score(params, data)[rate_index])
+        at = evaluate(u)
+        return math.nan if at is None else float(at[1])
 
     u = math.log(rate)
-    iterations, found = 0, True
+    iterations, found, params_tuple = 0, True, (rate,)
     if kind is not ModelKind.ED:
         a, b, found = _bracket(slope, u)
         u = a
@@ -254,12 +280,11 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
                 full_output=True, disp=False,
             )
             found, iterations = info.converged, info.iterations
-        rate = math.exp(u)
+        params_tuple = evaluate(u)[0]
 
-    params_tuple = _profile(kind, rate, data)
     params = validate_params(kind, params_tuple)
     value = log_likelihood(kind, params, data)
-    grad_norm = float(np.linalg.norm(np.multiply(params_tuple, score(params_tuple, data))))
+    grad_norm = float(np.linalg.norm(np.multiply(params_tuple, _SCORES[kind](params_tuple, data))))
     h = _CURVATURE_STEP
     curvature = (slope(u + h) - slope(u - h)) / (2.0 * h)
     return FitResult(
@@ -269,4 +294,5 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
         converged=found and grad_norm <= _GRAD_TOL * data.n and curvature < 0.0,
         iterations=iterations,
         grad_norm=grad_norm,
+        slope_evaluations=len(memo),
     )

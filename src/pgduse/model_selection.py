@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, cdf
+from .distributions import Dataset, ModelKind, _count, cdf
 from .errors import DomainError
 from .estimation import FitOptions, FitResult, fit_mle
 
@@ -83,8 +83,7 @@ def ks_pvalue(d: float, n: int, method: str = "asymptotic") -> float:
     d = float(d)
     if not 0.0 <= d <= 1.0:
         raise DomainError(f"KS statistic must lie in [0, 1], got {d!r}")
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n!r}")
+    n = _count("sample size", n, 1)
     if d == 0.0:
         return 1.0
     # scipy takes most of a second to import, so every scipy import in the
@@ -105,9 +104,7 @@ def aic(log_likelihood: float, k: int) -> float:
 
 def bic(log_likelihood: float, k: int, n: int) -> float:
     """Bayesian information criterion -2 logL + k log n."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n!r}")
-    return -2.0 * log_likelihood + k * math.log(n)
+    return -2.0 * log_likelihood + k * math.log(_count("sample size", n, 1))
 
 
 @dataclass(frozen=True)

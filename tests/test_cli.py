@@ -238,6 +238,35 @@ def test_plotdata_density_integrates_to_one(plot_files):
     assert abs(integral - 1.0) < 0.01
 
 
+def test_plotdata_tokens_are_the_repr_of_each_value(plot_files):
+    # the files carry every digit: each token is repr(float) of its column
+    from pgduse import cdf, compare, ecdf, hazard, load_dataset, pdf, quantile
+
+    data = load_dataset("lawless")
+    table = compare(data)
+    best = table.best()
+    grid = np.linspace(0.0, float(quantile(best.kind, best.params, 0.999)), 512)
+
+    def columns(fn):
+        return {row.kind.value: fn(row.kind, row.params, grid) for row in table.rows}
+
+    expected = {
+        "density": {"x": grid, **columns(pdf)},
+        "hazard": {"x": grid, **columns(hazard)},
+        "ecdf": {"x": grid, "ecdf": ecdf(data).value_at(grid), **columns(cdf)},
+    }
+    for name, path in plot_files.items():
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+        assert lines[-1] == ""
+        header = lines[0].split(" ")
+        assert sorted(header) == sorted(expected[name])
+        for i, line in enumerate(lines[1:-1]):
+            tokens = line.split(" ")
+            assert tokens == [repr(float(expected[name][col][i])) for col in header]
+        assert i == 511
+
+
 def test_plotdata_grid_flags(tmp_path, capsys):
     prefix = tmp_path / "small"
     code = main(["plotdata", "--data", "lawless", "--models", "ed",

@@ -230,31 +230,59 @@ def test_seeded_sweep_reaches_the_maximum(kind, n):
 
 
 def test_log_likelihood_calls_per_fit_capped(lawless, monkeypatch):
-    # the root-find works on the analytic score alone: log_likelihood is
-    # called once, for the result, and the scores through _SCORES
-    calls = {"loglik": 0, "score": 0}
+    # the root-find works on the profile slope alone: log_likelihood is
+    # called once, for the result, and each log-rate is profiled once
+    calls = {"loglik": 0}
+    rates = []
     original = pgduse.estimation.log_likelihood
 
     def counting(*args, **kwargs):
         calls["loglik"] += 1
         return original(*args, **kwargs)
 
-    def counted(score):
-        def wrapper(*args, **kwargs):
-            calls["score"] += 1
-            return score(*args, **kwargs)
+    def spied(profile):
+        def wrapper(rate, data):
+            rates.append(rate)
+            return profile(rate, data)
         return wrapper
 
     monkeypatch.setattr(pgduse.estimation, "log_likelihood", counting)
-    for kind, score in list(pgduse.estimation._SCORES.items()):
-        monkeypatch.setitem(pgduse.estimation._SCORES, kind, counted(score))
+    for kind, profile in list(pgduse.estimation._PROFILES.items()):
+        monkeypatch.setitem(pgduse.estimation._PROFILES, kind, spied(profile))
     synthetic = Dataset(sample(ModelKind.PGDUSE, GENERATORS[ModelKind.PGDUSE], 1000, seed=5))
     for data in (lawless, synthetic):
         for kind in ModelKind:
-            calls.update(loglik=0, score=0)
-            assert fit_mle(kind, data).converged
+            calls["loglik"] = 0
+            rates.clear()
+            result = fit_mle(kind, data)
+            assert result.converged
             assert calls["loglik"] == 1
-            assert 1 <= calls["score"] <= 20
+            assert len(set(rates)) == len(rates) == result.slope_evaluations
+            if kind is ModelKind.ED:
+                # the closed form; only the curvature check samples the slope
+                assert result.slope_evaluations == 2
+            else:
+                assert 4 <= result.slope_evaluations <= 10
+
+
+# repr of (params, logL, grad_norm) of every bearing-data fit; the
+# single-pass profiles must reproduce the score-based root-find bit for bit
+_BEARING_FITS = {
+    ModelKind.PGDUSE: "((0.033622995972553645, 3.8068710158908416), "
+                      "-113.00300900113609, 5.827389186397116e-11)",
+    ModelKind.GDUSE: "((4.739087227238598, 0.03553221472055972), "
+                     "-113.04657101758423, 4.686061392450266e-13)",
+    ModelKind.DUSE: "((0.01824011874648117,), -119.23991930698392, 1.463279180990689e-11)",
+    ModelKind.KME: "((0.009544953869348697,), -123.10646373124057, 2.872896558199122e-11)",
+    ModelKind.ED: "((0.0138430796639141,), -121.43930619297953, 0.0)",
+}
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_bearing_fits_are_pinned_bit_for_bit(lawless, kind):
+    result = fit_mle(kind, lawless)
+    got = (result.params.as_tuple(), result.log_likelihood, result.grad_norm)
+    assert repr(got) == _BEARING_FITS[kind]
 
 
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)

@@ -171,6 +171,19 @@ def test_ks_pvalue_edge_cases():
         ks_pvalue(0.5, 10, "bootstrap")
 
 
+def test_sample_size_must_be_a_positive_integer():
+    # a fractional or NaN n once gave p = 1.0 or NaN instead of an error
+    for n in (2.5, math.nan, math.inf, 0, -3, "23"):
+        with pytest.raises(DomainError):
+            ks_pvalue(0.1, n)
+        with pytest.raises(DomainError):
+            bic(-1.0, 2, n)
+    for n in (23, np.int64(23), np.int32(23), 23.0):
+        assert ks_pvalue(0.11025, n) == ks_pvalue(0.11025, 23)
+        assert ks_pvalue(0.11025, n, "exact") == ks_pvalue(0.11025, 23, "exact")
+        assert bic(-113.003, 2, n) == bic(-113.003, 2, 23)
+
+
 def test_ks_pvalue_monotone_in_d():
     for method in ("exact", "asymptotic"):
         values = [ks_pvalue(d, 23, method) for d in np.arange(0.02, 0.5, 0.02)]
