@@ -33,7 +33,13 @@ large magnitudes.  For the first few k the Poisson mean k - shift is
 negative and the defining sum alternates; there each mean is the Kummer
 series of an integral over [0, 1] (DLMF 13.4.1), whose terms do not
 cancel.  The outer sum over k does cancel, so those means are summed in
-30-digit decimal arithmetic and rounded once.
+30-digit decimal arithmetic and rounded once.  The other means are taken
+in runs of 8, 16, 32 and then 64 terms: one matrix holds the Poisson
+weights of a run's means over a shared window of m, and one product with
+h(m) gives them all.  Below a mean of 40 the weights come from the
+recurrence z/m, to about 1e-16; above it from their logs, to about 1e-13
+at 400.  The terms still enter the sum one at a time, so a run never moves
+where a series stops or whether it raises.
 """
 
 from __future__ import annotations
@@ -100,27 +106,83 @@ class SeriesOptions:
 # Poisson-weighted means
 # ----------------------------------------------------------------------
 
-def _poisson_mean(h_vec: Callable, h_neg: Callable, z: float, gammaln: Callable):
-    """E[h(M)] for M ~ Poisson(z), extended by the same power sum to z <= 0.
+# Below this mean the Poisson weights are built by the recurrence z/m from
+# m = 0, to about 1e-16; above it z**m/m! would overflow, so they come from
+# their logs, whose rounding grows with z: about 1e-13 at z = 400.
+_RECURRENCE = 40.0
+# The series terms take their means in runs: the first of this many, each
+# next run twice as long, up to the longest.  A run costs one matrix
+# product; the means a series that stops inside a run did not need are the
+# waste.
+_FIRST_RUN = 8
+_LONGEST_RUN = 64
 
-    For z < 0 the defining sum alternates and cancels roughly like
-    exp(2|z|); ``h_neg(-z)`` then gives the same value from a series with
-    no cancellation (:func:`_reciprocal_mean`, :func:`_power_mean`).
+
+def _reach(z: float) -> tuple[int, int]:
+    """The first and last m whose Poisson(z) weight a mean takes.
+
+    From 0 to 3z + 80 below ``_RECURRENCE``; above it z -+ (12 sqrt(z) +
+    25), where the weights are below 1e-30 of their peak.
     """
-    if z < 0.0:
-        return h_neg(-z)
-    if z < 40.0:
-        m_max = int(3.0 * z) + 80
-        m = np.arange(m_max + 1)
-        ratio = np.concatenate(([1.0], z / m[1:]))
-        weights = np.cumprod(ratio)
-        return math.exp(-z) * np.sum(weights * h_vec(m))
+    if z < _RECURRENCE:
+        return 0, int(3.0 * z) + 80
     half = 12.0 * math.sqrt(z) + 25.0
-    lo = max(int(z - half), 0)
-    hi = int(z + half) + 1
-    m = np.arange(lo, hi + 1)
-    weights = np.exp(m * math.log(z) - z - gammaln(m + 1.0))
-    return np.sum(weights * h_vec(m))
+    return max(int(z - half), 0), int(z + half) + 1
+
+
+def _poisson_means(h_vec: Callable, z: np.ndarray, gammaln: Callable) -> np.ndarray:
+    """E[h(M)] for M ~ Poisson(z), at every z >= 0 of an ascending array.
+
+    Each row of one weight matrix holds the weights of one z over the m
+    that any row reaches, so the means are one product W @ h(m); past its
+    own reach a row's weights only shrink.  A row below ``_RECURRENCE``
+    holds z**m/m!, and its mean takes the factor exp(-z) after the product.
+    """
+    split = int(np.searchsorted(z, _RECURRENCE))
+    near, far = z[:split, None], z[split:, None]
+    hi = max(_reach(z[max(split, 1) - 1])[1], _reach(z[-1])[1])
+    m = np.arange(_reach(z[0])[0], hi + 1)
+    weights = np.empty((z.size, m.size))
+    if split:
+        ratios = weights[:split]
+        ratios[:, 0] = 1.0
+        np.divide(near, m[1:], out=ratios[:, 1:])
+        np.cumprod(ratios, axis=1, out=ratios)
+    if far.size:
+        logs = weights[split:]          # m log z - z - log m!, built in place
+        np.multiply(m, np.log(far), out=logs)
+        logs -= far
+        logs -= gammaln(m + 1.0)
+        np.exp(logs, out=logs)
+    h = h_vec(m)
+    if np.iscomplexobj(h):
+        # W @ h would copy W to complex, three times slower
+        means = weights @ h.real + 1j * (weights @ h.imag)
+    else:
+        means = weights @ h
+    means[:split] *= np.exp(-near[:, 0])
+    return means
+
+
+def _series_means(h_vec: Callable, h_neg: Callable, shift: float, count: int, gammaln: Callable):
+    """E[h(M)], M ~ Poisson(k - shift), for k = 0 .. count - 1, as Python numbers.
+
+    Where z = k - shift < 0 the defining sum alternates and cancels
+    roughly like exp(2|z|); ``h_neg(-z)`` then gives the same value from a
+    series with no cancellation (:func:`_reciprocal_mean`,
+    :func:`_power_mean`).  The other means come from :func:`_poisson_means`
+    in runs of ``_FIRST_RUN`` up to ``_LONGEST_RUN`` terms, each computed
+    when the caller asks for its first mean.
+    """
+    k = 0
+    while k < count and k < shift:
+        yield h_neg(shift - k)
+        k += 1
+    size = _FIRST_RUN
+    while k < count:
+        stop = min(k + size, count)
+        yield from _poisson_means(h_vec, np.arange(k, stop) - shift, gammaln).tolist()
+        k, size = stop, min(2 * size, _LONGEST_RUN)
 
 
 # The z < 0 means enter an alternating outer sum whose terms can be 1e4
@@ -206,7 +268,12 @@ def _binomial_series(
     """Sum over k of C(power, k) * (-1)**k * E[h(M)], M ~ Poisson(k - shift).
 
     ``h_vec`` is h on an array of m; ``h_neg(w)`` is the mean at k - shift = -w.
-    A complex h gives a complex sum.
+    A complex h gives a complex sum, and either is a Python number.
+
+    The means arrive from :func:`_series_means`, a run of terms at a time,
+    but the sum takes them one by one, so where it stops and what it raises
+    do not depend on the runs.  A run starts only when the sum needs its
+    first mean, after the zero coefficient that ends an integer ``power``.
 
     Stops when two consecutive terms fall below ``_ABS_TOL`` (exact
     termination for nonnegative-integer ``power``).  If the budget runs out
@@ -220,10 +287,11 @@ def _binomial_series(
     total = 0.0
     terms: list = []
     below = 0
+    means = _series_means(h_vec, h_neg, shift, opts.max_terms, gammaln)
     for k in range(opts.max_terms):
         if coeff == 0.0:
             return total
-        term = coeff * _poisson_mean(h_vec, h_neg, k - shift, gammaln)
+        term = coeff * next(means)
         terms.append(term)
         total += term
         if abs(term) < _ABS_TOL:
@@ -257,7 +325,7 @@ def _binomial_series(
     if abs(predicted - terms[probe]) > 5e-3 * abs(terms[probe]) + 1e-300:
         raise SeriesDivergence("series tail is not a smooth power law; extrapolation refused")
     tail = sum(coefs[i] * zeta(tail_exponent + i, count) for i in range(4))
-    return total + tail
+    return total + tail.item()
 
 
 # ----------------------------------------------------------------------

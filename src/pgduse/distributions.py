@@ -334,7 +334,8 @@ def _pg_log_sf(params, x):
     lam, theta = params
     # log(1 - G1**theta); far out 1 - G1 = e*exp(-lam*x)/(e-1), and the
     # survival is 1 - exp(-theta times that)
-    return _far_tail(_log1mexp(-theta * _pg_log_ratio(_pg_parts(lam, x))), lam * x,
+    parts = _pg_parts(lam, x)
+    return _far_tail(_log1mexp(-theta * _pg_log_ratio(parts)), parts[0],
                      math.log(theta) + _LOG_E_EM1, lambda y: _log1mexp(np.exp(y)))
 
 
@@ -342,10 +343,15 @@ def _pg_log_pdf(params, x):
     lam, theta = params
     # log of theta * G1**(theta-1) * G1'.  Only log G1 is scaled, by
     # theta - 1, so no two large terms cancel at large theta
-    out = math.log(theta) + math.log(lam) - _LOG_EM1 + 1.0 - lam * x - np.exp(-lam * x)
+    if theta == 1.0:
+        lx = lam * x
+        parts = lx, np.exp(-lx)
+    else:
+        parts = _pg_parts(lam, x)
+    out = math.log(theta) + math.log(lam) - _LOG_EM1 + 1.0 - parts[0] - parts[1]
     if theta != 1.0:
         # (theta-1)*(-inf) at x=0 encodes the 0 / +inf density limit
-        out = out + (theta - 1.0) * _pg_log_ratio(_pg_parts(lam, x))
+        out = out + (theta - 1.0) * _pg_log_ratio(parts)
     return out
 
 

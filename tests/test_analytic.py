@@ -20,6 +20,7 @@ from pgduse import (
     cf_quadrature,
     cgf,
     kurtosis,
+    mean,
     mgf,
     mgf_quadrature,
     raw_moment_quadrature,
@@ -30,7 +31,7 @@ from pgduse import (
     skewness,
     variance,
 )
-from pgduse.analytic import _power_mean, _reciprocal_mean
+from pgduse.analytic import _poisson_means, _power_mean, _reciprocal_mean
 
 from conftest import GRID_LAMBDAS, GRID_THETAS
 
@@ -109,6 +110,49 @@ def test_power_mean_matches_the_alternating_sum(r):
 
 
 # ----------------------------------------------------------------------
+# Poisson means at nonnegative argument, one weight matrix per run
+# ----------------------------------------------------------------------
+
+# both sides of the switch from the recurrence to log weights at z = 40, and
+# the largest means that a 400-term series reaches
+POS_Z = np.array([0.0, 1e-3, 0.5, 5.0, 39.5, 40.0, 40.5, 120.0, 199.5, 399.0])
+
+
+def _reciprocal_case(scale, tau):
+    return (lambda m: 1.0 / (scale * (m + 1.0) - tau),
+            lambda m: 1 / (mpmath.mpf(scale) * (m + 1) - mpmath.mpmathify(tau)))
+
+
+# h(m) of the moments, the mgf (real t), the cf (imaginary t) and the Renyi
+# series, as a float h on arrays and an mpmath h
+MEAN_CASES = {
+    **{f"moment-{r}": (lambda m, r=r: (m + 1.0) ** -(r + 1.0),
+                       lambda m, r=r: mpmath.mpf(m + 1) ** -(r + 1)) for r in (1, 2, 3, 4)},
+    "mgf-0.5-0.3": _reciprocal_case(0.5, 0.3),
+    "mgf-2--3": _reciprocal_case(2.0, -3.0),
+    "cf-1-0.7": _reciprocal_case(1.0, 0.7j),
+    "cf-0.5-30": _reciprocal_case(0.5, 30j),
+    **{f"renyi-{d}": (lambda m, d=d: 1.0 / (m + d),
+                      lambda m, d=d: 1 / (m + mpmath.mpf(d))) for d in (0.3, 1.98, 4.75)},
+}
+
+
+@pytest.mark.parametrize("case", MEAN_CASES)
+def test_poisson_means_match_mpmath(case):
+    from scipy.special import gammaln
+    h, h_mp = MEAN_CASES[case]
+    want = np.array([alternating_poisson_mean(h_mp, z) for z in POS_Z])
+    # one matrix for all of them, and one each, whose window starts past 0
+    # at the largest z
+    together = _poisson_means(h, POS_Z, gammaln)
+    alone = np.array([_poisson_means(h, POS_Z[i:i + 1], gammaln)[0] for i in range(POS_Z.size)])
+    bound = np.where(POS_Z < 40.0, 1e-15, 2e-13) * np.abs(want)
+    for got in (together, alone):
+        assert np.iscomplexobj(got) == np.iscomplexobj(want)
+        assert np.all(np.abs(got - want) <= bound)
+
+
+# ----------------------------------------------------------------------
 # raw moments
 # ----------------------------------------------------------------------
 
@@ -184,6 +228,42 @@ def test_truncation_monotonicity_where_series_terminates():
 def test_series_divergence_when_budget_too_small():
     with pytest.raises(SeriesDivergence):
         raw_moment_series(PgduseParams(1.0, 0.5), 1, SeriesOptions(max_terms=12))
+
+
+def test_series_means_come_in_runs_within_the_budget(monkeypatch):
+    sizes = []
+    batched = pgduse.analytic._poisson_means
+
+    def spy(h_vec, z, gammaln):
+        sizes.append(z.size)
+        return batched(h_vec, z, gammaln)
+
+    monkeypatch.setattr(pgduse.analytic, "_poisson_means", spy)
+    # at integer theta every mean the sum needs has k < shift, and the sum
+    # ends exactly: a larger budget computes nothing more
+    for theta in (1.0, 2.0, 5.0):
+        p = PgduseParams(1.0, theta)
+        assert raw_moment_series(p, 2) == raw_moment_series(p, 2, SeriesOptions(max_terms=1000))
+    assert sizes == []
+    # k = 1..11 at shift 0.5: a run of 8, then the 3 the budget leaves
+    with pytest.raises(SeriesDivergence):
+        raw_moment_series(PgduseParams(1.0, 0.5), 1, SeriesOptions(max_terms=12))
+    assert sizes == [8, 3]
+    sizes.clear()
+    # k = 3..199 at shift 2.5, closed by the tail fit
+    raw_moment_series(PgduseParams(1.0, 2.5), 1)
+    assert sizes == [8, 16, 32, 64, 64, 13]
+
+
+@pytest.mark.parametrize("theta", (1.0, 2.0, 2.5))
+def test_series_routes_return_python_numbers(theta):
+    # 2.5 closes its tail with numpy; the others end on decimal means
+    p = PgduseParams(1.0, theta)
+    for value in (raw_moment_series(p, 2), mgf(p, 0.3), mean(p), variance(p), skewness(p),
+                  kurtosis(p), central_moment(p, 3), renyi_entropy_series(p, 2.0)):
+        assert type(value) is float
+    assert type(cf(p, 0.7)) is complex
+    assert type(cgf(p, 0.7)) is complex
 
 
 # ----------------------------------------------------------------------
