@@ -569,9 +569,16 @@ def mean(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
 
 
 def variance(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
-    m1 = raw_moment_series(p, 1, opts)
-    m2 = raw_moment_series(p, 2, opts)
-    return m2 - m1 * m1
+    return central_moment(p, 2, opts)
+
+
+def _central(m: list, r: int) -> float:
+    """E[(X - E X)**r] for r in {2, 3, 4} from the raw moments m[i] = E X**(i+1)."""
+    if r == 2:
+        return m[1] - m[0] ** 2
+    if r == 3:
+        return m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3
+    return m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] - 3.0 * m[0] ** 4
 
 
 def central_moment(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptions()) -> float:
@@ -580,18 +587,15 @@ def central_moment(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptions(
         raise DomainError(f"central moments implemented for r in 1..4, got {r!r}")
     if r == 1:
         return 0.0
-    m = [raw_moment_series(p, i, opts) for i in range(1, int(r) + 1)]
-    if r == 2:
-        return m[1] - m[0] ** 2
-    if r == 3:
-        return m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3
-    return m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] - 3.0 * m[0] ** 4
+    return _central([raw_moment_series(p, i, opts) for i in range(1, int(r) + 1)], r)
 
 
 def skewness(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
-    return central_moment(p, 3, opts) / central_moment(p, 2, opts) ** 1.5
+    m = [raw_moment_series(p, i, opts) for i in (1, 2, 3)]
+    return _central(m, 3) / _central(m, 2) ** 1.5
 
 
 def kurtosis(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
     """Plain (non-excess) kurtosis mu4 / mu2**2."""
-    return central_moment(p, 4, opts) / central_moment(p, 2, opts) ** 2
+    m = [raw_moment_series(p, i, opts) for i in (1, 2, 3, 4)]
+    return _central(m, 4) / _central(m, 2) ** 2

@@ -85,9 +85,16 @@ def _emit(config, headers, rows, json_payload, footnotes=()):
             out.close()
 
 
+def _parse_numbers(option: str, spec: str) -> list[float]:
+    """The numbers of a comma- or space-separated list given to ``option``."""
+    try:
+        return [float(tok) for tok in spec.replace(",", " ").split()]
+    except ValueError:
+        raise DomainError(f"{option}: cannot parse {spec!r} as numbers") from None
+
+
 def _parse_params(kind: ModelKind, spec: str):
-    raw = [float(tok) for tok in spec.replace(",", " ").split()]
-    return validate_params(kind, raw)
+    return validate_params(kind, _parse_numbers("--params", spec))
 
 
 def _row_record(row: ComparisonRow) -> dict:
@@ -150,7 +157,7 @@ def cmd_eval(config) -> int:
     kind = ModelKind.parse(config.model)
     params = _parse_params(kind, config.params)
     func = _EVAL_FUNCTIONS[config.fn]
-    points = [float(tok) for spec in config.at for tok in spec.replace(",", " ").split()]
+    points = [point for spec in config.at for point in _parse_numbers("--at", spec)]
     rows = []
     records = []
     for point in points:

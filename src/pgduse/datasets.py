@@ -34,12 +34,17 @@ def load_dataset(source: Union[str, os.PathLike]) -> Dataset:
     Raises
     ------
     ParseError
-        A token could not be read as a number (carries the line number).
+        The source is neither a str nor a path, or cannot be opened, or a
+        token could not be read as a number (carries the line number).
     NonPositiveObservation
         An observation was <= 0 or non-finite (carries the line number).
     EmptyDataset
         The source held no observations.
     """
+    try:  # open() would take an int for a file descriptor, and close it
+        source = os.fspath(source)
+    except TypeError:
+        raise ParseError(f"data source must be a name or a path, got {source!r}") from None
     name = str(source).strip()
     builtin = BUILTIN_DATASETS.get(name.lower())
     if builtin is not None:

@@ -657,12 +657,13 @@ def median(p: PgduseParams) -> float:
 def sample(kind: ModelKind, p, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` variates by inverse-transform sampling; ``n`` is an integer >= 0.
 
-    Deterministic for a fixed ``seed``; every returned value is strictly
-    positive.  The closed-form quantile makes rejection schemes unnecessary.
+    Deterministic for a fixed ``seed``, an integer >= 0; every returned
+    value is strictly positive.  The closed-form quantile makes rejection
+    schemes unnecessary.
     """
     params = _coerce(kind, p)
     n = _count("sample size", n, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     u = rng.random(n)
     # open the lower endpoint so the transform stays positive
     while np.any(u == 0.0):

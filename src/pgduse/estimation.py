@@ -10,8 +10,10 @@ profiled shape.  The fit steps the rate by factors of 2 from n / sum(x)
 until that slope changes sign, and the maximum is then the one root of the
 slope in the bracket, found by ``brentq``.  The exponential model takes its
 closed-form estimate n / sum(x) and skips both steps.  Each model's
-profile (``_PROFILES``) gives the shape and the slope in one pass, and a
-memo that lives for one fit evaluates no log-rate twice.
+profile (``_PROFILES``, the one per-model table here) gives the shape and
+the whole score in one pass.  A memo that lives for one fit evaluates no
+log-rate twice, and every fit, ED's closed form included, takes its
+parameters and its certificate from the memo entry at its last log-rate.
 
 Every fit is certified the same way: the score per log-parameter,
 p * grad(logL), has norm at most 1e-6 * n, and the profile curvature in
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    _MODELS,
     Dataset,
     ModelKind,
     ParamVector,
@@ -124,44 +127,10 @@ def score_pgduse(p, data: Dataset) -> np.ndarray:
     return np.array([_pg_d_lam(lam, theta, data, parts), d_theta])
 
 
-def _gduse_d_beta(alpha: float, beta: float, fa: np.ndarray, data: Dataset) -> float:
-    """d logL / d beta of GDUSE, with fa = F**alpha."""
-    x = data.observations
-    # d log F / d beta = x / expm1(beta*x), which is 0 once expm1 overflows
-    with np.errstate(over="ignore"):
-        dlogf = x / np.expm1(beta * x)
-    return data.n / beta - data.total + np.sum((alpha * fa + alpha - 1.0) * dlogf)
-
-
-def _score_gduse(params: tuple[float, ...], data: Dataset) -> np.ndarray:
-    """Analytic gradient (d/d alpha, d/d beta) of the GDUSE log-likelihood."""
-    alpha, beta = params
-    log_f = _log_f(beta, data.observations)
-    fa = np.exp(alpha * log_f)
-    d_alpha = data.n / alpha + np.sum(log_f * (1.0 + fa))
-    return np.array([d_alpha, _gduse_d_beta(alpha, beta, fa, data)])
-
-
-def _score_kme(params: tuple[float, ...], data: Dataset) -> np.ndarray:
-    """Analytic derivative of the KME log-likelihood in its rate theta."""
-    (theta,) = params
-    x = data.observations
-    return np.array([data.n / theta - data.total - np.sum(x * np.exp(-theta * x))])
-
-
-_SCORES = {
-    ModelKind.PGDUSE: score_pgduse,
-    ModelKind.GDUSE: _score_gduse,
-    ModelKind.DUSE: lambda params, data: score_pgduse((params[0], 1.0), data)[:1],
-    ModelKind.KME: _score_kme,
-    ModelKind.ED: lambda params, data: np.array([data.n / params[0] - data.total]),
-}
-
-
 # Profiles: at a rate, the parameters with the shape at its maximizer and
-# the profile slope, which by the envelope theorem is the rate component of
-# the score there.  None once sum(log G1) (PGDUSE) or sum(log F) (GDUSE)
-# rounds to 0: the best shape would be infinite.
+# the whole analytic score there, whose rate component is the profile slope
+# by the envelope theorem.  None once sum(log G1) (PGDUSE) or sum(log F)
+# (GDUSE) rounds to 0: the best shape would be infinite.
 
 def _pgduse_profile(rate: float, data: Dataset):
     parts = _pg_parts(rate, data.observations)
@@ -169,11 +138,11 @@ def _pgduse_profile(rate: float, data: Dataset):
     theta = -data.n / total if total < 0.0 else math.inf
     if not 0.0 < theta < math.inf:
         return None
-    return (rate, theta), _pg_d_lam(rate, theta, data, parts)
+    return (rate, theta), (_pg_d_lam(rate, theta, data, parts), data.n / theta + total)
 
 
 def _gduse_profile(beta: float, data: Dataset):
-    """The best alpha at ``beta``, and the slope.
+    """The best alpha at ``beta``, and the score (d/d alpha, d/d beta).
 
     With L = log F(x; beta) < 0, the alpha score
     h(alpha) = n/alpha + sum(L * (1 + exp(alpha*L))) is strictly
@@ -181,7 +150,8 @@ def _gduse_profile(beta: float, data: Dataset):
     n/alpha + 2 sum(L) <= h(alpha) <= n/alpha + sum(L) places its root in
     [n / (-2 sum L), n / (-sum L)].  There is none once sum(L) rounds to 0.
     """
-    log_f = _log_f(beta, data.observations)
+    x = data.observations
+    log_f = _log_f(beta, x)
     n, total = data.n, float(np.sum(log_f))
     # that interval widened by 2 at each end, so rounding cannot flip a sign
     hi = 2.0 * n / -total if total < 0.0 else math.inf
@@ -193,7 +163,13 @@ def _gduse_profile(beta: float, data: Dataset):
 
     from scipy.optimize import brentq
     alpha = brentq(alpha_score, hi / 8.0, hi)
-    return (alpha, beta), _gduse_d_beta(alpha, beta, np.exp(alpha * log_f), data)
+    fa = np.exp(alpha * log_f)
+    d_alpha = n / alpha + np.sum(log_f * (1.0 + fa))
+    # d log F / d beta = x / expm1(beta*x), which is 0 once expm1 overflows
+    with np.errstate(over="ignore"):
+        dlogf = x / np.expm1(beta * x)
+    d_beta = n / beta - data.total + np.sum((alpha * fa + alpha - 1.0) * dlogf)
+    return (alpha, beta), (d_alpha, d_beta)
 
 
 _PROFILES = {
@@ -201,9 +177,10 @@ _PROFILES = {
     ModelKind.GDUSE: _gduse_profile,
     # theta = 1 needs no log G1; the 0 * ratio term keeps the score's NaNs
     ModelKind.DUSE: lambda rate, data: (
-        (rate,), _pg_d_lam(rate, 1.0, data, _pg_parts(rate, data.observations))),
-    ModelKind.KME: lambda rate, data: ((rate,), _score_kme((rate,), data)[0]),
-    ModelKind.ED: lambda rate, data: ((rate,), data.n / rate - data.total),
+        (rate,), (_pg_d_lam(rate, 1.0, data, _pg_parts(rate, data.observations)),)),
+    ModelKind.KME: lambda rate, data: ((rate,), (data.n / rate - data.total - np.sum(
+        data.observations * np.exp(-rate * data.observations)),)),
+    ModelKind.ED: lambda rate, data: ((rate,), (data.n / rate - data.total,)),
 }
 
 
@@ -244,7 +221,8 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
     sign change, the fit reports the last log-rate of the walk.
     ``converged`` requires a bracketed root found within ``opts.max_iters``
     (to a log-rate tolerance of 1e-10), a score per log-parameter with
-    norm at most 1e-6 * n (``grad_norm``) and a negative profile curvature.
+    norm at most 1e-6 * n (``grad_norm``, from the profile's score at the
+    result) and a negative profile curvature.
 
     Raises DomainError when n / sum(x) is not a positive finite double:
     the sample must then be rescaled.
@@ -255,8 +233,8 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
     if not 0.0 < rate < math.inf:
         raise DomainError(f"n / sum(x) = {rate!r} is not a finite positive rate; "
                           "rescale the sample")
-    profile = _PROFILES[kind]
-    # (params, slope) or None by log-rate, for this fit only
+    profile, rate_index = _PROFILES[kind], _MODELS[kind].rate_index
+    # (params, score) or None by log-rate, for this fit only
     memo: dict[float, tuple | None] = {}
 
     def evaluate(u: float):
@@ -266,11 +244,14 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
 
     def slope(u: float) -> float:
         at = evaluate(u)
-        return math.nan if at is None else float(at[1])
+        return math.nan if at is None else float(at[1][rate_index])
 
     u = math.log(rate)
-    iterations, found, params_tuple = 0, True, (rate,)
-    if kind is not ModelKind.ED:
+    iterations, found = 0, True
+    if kind is ModelKind.ED:
+        # the closed form, at the exact rate rather than exp(log(rate))
+        memo[u] = profile(rate, data)
+    else:
         a, b, found = _bracket(slope, u)
         u = a
         if found:
@@ -280,11 +261,11 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
                 full_output=True, disp=False,
             )
             found, iterations = info.converged, info.iterations
-        params_tuple = evaluate(u)[0]
 
+    params_tuple, score = evaluate(u)
     params = validate_params(kind, params_tuple)
     value = log_likelihood(kind, params, data)
-    grad_norm = float(np.linalg.norm(np.multiply(params_tuple, _SCORES[kind](params_tuple, data))))
+    grad_norm = float(np.linalg.norm(np.multiply(params_tuple, score)))
     h = _CURVATURE_STEP
     curvature = (slope(u + h) - slope(u - h)) / (2.0 * h)
     return FitResult(

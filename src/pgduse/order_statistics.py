@@ -92,7 +92,7 @@ def system_lifetime_cdf(p: PgduseParams, n: int, topology: str, t: ArrayLike):
     A series system dies with its first failing component (rank 1); a
     parallel system with its last (rank n).
     """
-    topo = topology.strip().lower()
+    topo = topology.strip().lower() if isinstance(topology, str) else None
     if topo == "series":
         spec = OrderSpec(n, 1)
     elif topo == "parallel":

@@ -507,6 +507,25 @@ def test_central_moment_identities():
     assert variance(p, ACC) == pytest.approx(central_moment(p, 2, ACC), rel=1e-12)
 
 
+@pytest.mark.parametrize("summary, series", [
+    (mean, 1), (variance, 2), (skewness, 3), (kurtosis, 4),
+    (lambda p, opts: central_moment(p, 1, opts), 0),
+    (lambda p, opts: central_moment(p, 3, opts), 3),
+    (lambda p, opts: central_moment(p, 4, opts), 4),
+], ids=["mean", "variance", "skewness", "kurtosis", "central1", "central3", "central4"])
+def test_summaries_sum_each_raw_moment_once(monkeypatch, summary, series):
+    orders = []
+    real = pgduse.analytic.raw_moment_series
+
+    def counting(p, r, opts=SeriesOptions()):
+        orders.append(r)
+        return real(p, r, opts)
+
+    monkeypatch.setattr(pgduse.analytic, "raw_moment_series", counting)
+    summary(PgduseParams(1.0, 2.5), ACC)
+    assert orders == list(range(1, series + 1))
+
+
 def test_skewness_kurtosis_against_sample():
     p = PgduseParams(1.0, 2.0)
     xs = sample(ModelKind.PGDUSE, p, 200000, seed=4)

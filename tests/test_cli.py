@@ -310,6 +310,31 @@ def test_unknown_model_is_handled(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--model", "pgduse", "--params", "1,abc", "--fn", "pdf", "--at", "1"],
+         "--params: cannot parse '1,abc'"),
+        (["eval", "--model", "ed", "--params", "1", "--fn", "pdf", "--at", "abc"],
+         "--at: cannot parse 'abc'"),
+        (["eval", "--model", "ed", "--params", "1", "--fn", "pdf", "--at", "1", "--at", "2 x"],
+         "--at: cannot parse '2 x'"),
+        (["sample", "--model", "ed", "--params", "1e", "--n", "3"], "--params: cannot parse"),
+        (["plotdata", "--data", "lawless", "--model", "ed", "--params", "nan?"],
+         "--params: cannot parse"),
+        (["sample", "--model", "ed", "--params", "1", "--n", "3", "--seed", "-1"],
+         "seed must be an integer >= 0"),
+    ],
+    ids=["params", "at", "second-at", "sample-params", "plotdata-params", "negative-seed"],
+)
+def test_unreadable_numbers_are_handled(capsys, argv, message):
+    # parsed before any output or file is written
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["eval", "--model", "ed", "--params", "1", "--fn", "cdf", "--at", "1",

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from pgduse import (
@@ -63,3 +65,27 @@ def test_file_empty_dataset(tmp_path):
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_dataset(tmp_path / "nope.txt")
+
+
+@pytest.mark.parametrize("source", [None, 2.5, ["lawless"]])
+def test_source_that_is_not_a_name_or_path_is_parse_error(source):
+    with pytest.raises(ParseError, match="name or a path"):
+        load_dataset(source)
+
+
+def test_standard_input_is_not_a_source():
+    # open() takes an int for a file descriptor: load_dataset(0) would read
+    # standard input and close it.  fd 0 is a pipe here, so nothing blocks
+    saved = os.dup(0)
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"1.0\n")
+    os.close(write_end)
+    os.dup2(read_end, 0)
+    os.close(read_end)
+    try:
+        with pytest.raises(ParseError, match="name or a path"):
+            load_dataset(0)
+        assert os.read(0, 16) == b"1.0\n"
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)

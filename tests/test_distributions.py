@@ -36,7 +36,7 @@ from pgduse import (
 )
 from pgduse import distributions
 from pgduse.distributions import _BLOCK
-from pgduse.estimation import _SCORES
+from pgduse.estimation import _PROFILES
 
 from conftest import ALL_KINDS, GRID_LAMBDAS, grid_params
 
@@ -139,8 +139,8 @@ def test_duse_is_pgduse_at_unit_theta(fn, a):
 
 @pytest.mark.parametrize("a", (0.01824, 0.5, 1.0, 2.0))
 def test_duse_score_is_pgduse_lambda_score_at_unit_theta(lawless, a):
-    got = _SCORES[ModelKind.DUSE]((a,), lawless)
-    assert got.shape == (1,)
+    params, got = _PROFILES[ModelKind.DUSE](a, lawless)
+    assert params == (a,) and len(got) == 1
     assert got[0] == score_pgduse((a, 1.0), lawless)[0]
 
 
@@ -513,6 +513,16 @@ def test_sample_empty_and_deterministic():
     b = sample(ModelKind.GDUSE, (2.0, 1.0), 64, seed=123)
     assert np.array_equal(a, b)
     assert np.all(a > 0.0)
+
+
+@pytest.mark.parametrize("seed", (-1, 2.5, math.nan, "3", None))
+def test_sample_seed_is_a_nonnegative_integer(seed):
+    # numpy would raise a bare ValueError or TypeError, or draw from the
+    # operating system's entropy for None
+    with pytest.raises(DomainError, match="seed"):
+        sample(ModelKind.ED, (1.0,), 3, seed)
+    assert np.array_equal(sample(ModelKind.ED, (1.0,), 3, np.int64(2**31 - 1)),
+                          sample(ModelKind.ED, (1.0,), 3, 2**31 - 1))
 
 
 def test_sample_passes_ks_against_generating_cdf():

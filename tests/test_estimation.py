@@ -91,20 +91,31 @@ def test_score_matches_central_differences(lawless):
 
 @pytest.mark.parametrize("kind", list(GENERATORS), ids=lambda k: k.value)
 def test_every_model_score_matches_central_differences(lawless, kind):
-    # 0.8 x the generator keeps every component away from its zero
-    params = tuple(0.8 * v for v in GENERATORS[kind])
-    analytic = pgduse.estimation._SCORES[kind](params, lawless)
-    fd = np.empty(len(params))
-    for j, value in enumerate(params):
-        step = 1e-6 * value
-        hi = list(params)
-        lo = list(params)
-        hi[j] = value + step
-        lo[j] = value - step
-        fd[j] = (
-            log_likelihood(kind, hi, lawless) - log_likelihood(kind, lo, lawless)
-        ) / (2.0 * step)
-    assert np.max(np.abs(fd - analytic) / np.abs(analytic)) < 1e-6
+    # each profile returns the whole score at the parameters it profiled;
+    # 0.8 and 1.25 x the generator's rate keep the rate component away from
+    # its zero, while the shape component is about 0 at the profiled shape
+    rate_index = pgduse.distributions._MODELS[kind].rate_index
+    for factor in (0.8, 1.25):
+        rate = factor * GENERATORS[kind][rate_index]
+        params, analytic = pgduse.estimation._PROFILES[kind](rate, lawless)
+        assert params[rate_index] == rate and len(analytic) == len(params)
+        if kind is ModelKind.PGDUSE:
+            # the certificate reads the public score, bit for bit
+            assert analytic == tuple(score_pgduse(params, lawless))
+        for j, value in enumerate(params):
+            step = 1e-6 * value
+            hi = list(params)
+            lo = list(params)
+            hi[j] = value + step
+            lo[j] = value - step
+            fd = (
+                log_likelihood(kind, hi, lawless) - log_likelihood(kind, lo, lawless)
+            ) / (2.0 * step)
+            if j == rate_index:
+                assert abs(fd - analytic[j]) < 1e-6 * abs(analytic[j]), (factor, j)
+            else:
+                assert abs(analytic[j]) < 1e-9, factor
+                assert abs(fd - analytic[j]) < 1e-6, factor
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +270,8 @@ def test_log_likelihood_calls_per_fit_capped(lawless, monkeypatch):
             assert calls["loglik"] == 1
             assert len(set(rates)) == len(rates) == result.slope_evaluations
             if kind is ModelKind.ED:
-                # the closed form; only the curvature check samples the slope
-                assert result.slope_evaluations == 2
+                # the closed form at the exact rate, and the curvature check
+                assert result.slope_evaluations == 3
             else:
                 assert 4 <= result.slope_evaluations <= 10
 

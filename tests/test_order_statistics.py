@@ -124,6 +124,12 @@ def test_system_lifetime_topologies():
         system_lifetime_cdf(P, 3, "mesh", 1.0)
 
 
+@pytest.mark.parametrize("topology", [None, 1, b"series"])
+def test_topology_that_is_not_a_string_is_a_domain_error(topology):
+    with pytest.raises(DomainError, match="topology"):
+        system_lifetime_cdf(P, 3, topology, 1.0)
+
+
 def test_parallel_two_component_frozen_value():
     single = cdf(ModelKind.PGDUSE, P, 1.0)
     got = system_lifetime_cdf(P, 2, "parallel", 1.0)
