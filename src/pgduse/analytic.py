@@ -436,7 +436,10 @@ def _generating_series(lam: float, theta: float, tau, opts: SeriesOptions):
 
 def _argument(t, below: float = math.inf) -> float:
     """``t`` as a float, which must be finite and below ``below``."""
-    t = float(t)
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise DomainError(f"t must be a real number, got {t!r}") from None
     if not -math.inf < t < below:
         bound = "" if below == math.inf else f" and < lambda ({below:g})"
         raise DomainError(f"t must be finite{bound}, got t={t!r}")
@@ -507,7 +510,10 @@ def cgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> com
 
 def _order(delta) -> float:
     """The Renyi order as a float, which must be positive, finite and != 1."""
-    delta = float(delta)
+    try:
+        delta = float(delta)
+    except (TypeError, ValueError):
+        raise DomainError(f"Renyi order must be a real number, got {delta!r}") from None
     if not 0.0 < delta < math.inf or delta == 1.0:
         raise DomainError(f"Renyi order must be positive, finite and != 1, got {delta!r}")
     return delta

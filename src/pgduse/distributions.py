@@ -30,12 +30,18 @@ An array of more than ``_BLOCK`` points goes through its kernel one block
 at a time.  A kernel is a chain of a dozen or more whole-array ufuncs, and
 in blocks of 16384 points (128 KB) their temporaries stay in L2 instead of
 streaming through memory.  Every kernel is elementwise, so the values are
-the same bit for bit.
+the same bit for bit.  Where the process may use two or more CPUs, the
+calling thread and one helper thread share the blocks, since numpy
+releases the GIL inside each ufunc.  Only one helper: every thread holds
+its own block's temporaries, so more threads would raise the peak memory
+over the output's size, and the GIL caps how far they would scale.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
@@ -98,13 +104,16 @@ class ModelKind(Enum):
     def parse(cls, name: str) -> "ModelKind":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             valid = ", ".join(k.value for k in cls)
             raise DomainError(f"unknown model {name!r}; expected one of: {valid}") from None
 
 
 def _require_positive(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(value) or value <= 0.0:
         raise NonPositiveParameter(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -176,19 +185,36 @@ def validate_params(kind: ModelKind, raw: Sequence[float]) -> ParamVector:
         If ``raw`` does not have exactly ``kind.arity`` entries.
     NonPositiveParameter
         If any entry is <= 0 or non-finite.
+    DomainError
+        If ``kind`` is not a ModelKind, or ``raw`` is not a sequence of
+        real numbers.
     """
-    raw = tuple(float(v) for v in raw)
-    if len(raw) != kind.arity:
+    try:
+        model = _MODELS[kind]
+    except (KeyError, TypeError):
+        raise _not_a_kind(kind) from None
+    try:
+        raw = tuple(raw)
+    except TypeError:
+        raise DomainError(f"parameters must be a sequence of numbers, got {raw!r}") from None
+    if len(raw) != len(model.param_names):
         raise ArityMismatch(
             f"{kind.value} takes {kind.arity} parameter(s), got {len(raw)}"
         )
-    return _MODELS[kind].param_class(*raw)
+    return model.param_class(*raw)
+
+
+def _not_a_kind(kind) -> DomainError:
+    return DomainError(f"expected a ModelKind, got {kind!r}")
 
 
 def _coerce(kind: ModelKind, p) -> tuple[float, ...]:
     """Accept either a typed parameter vector or a raw sequence."""
     if isinstance(p, (PgduseParams, GduseParams, ScalarParam)):
-        expected = _MODELS[kind].param_class
+        try:
+            expected = _MODELS[kind].param_class
+        except (KeyError, TypeError):
+            raise _not_a_kind(kind) from None
         if not isinstance(p, expected):
             raise ArityMismatch(
                 f"{kind.value} expects {expected.__name__}, got {type(p).__name__}"
@@ -215,7 +241,10 @@ class Dataset:
     __slots__ = ("observations", "sorted_values", "n", "total")
 
     def __init__(self, observations: ArrayLike):
-        obs = np.atleast_1d(np.asarray(observations, dtype=float)).copy()
+        try:
+            obs = np.atleast_1d(np.asarray(observations, dtype=float)).copy()
+        except (TypeError, ValueError) as exc:
+            raise NonPositiveObservation(f"observations must be real numbers: {exc}") from None
         if obs.ndim != 1:
             raise NonPositiveObservation("observations must form a one-dimensional sample")
         if obs.size == 0:
@@ -313,7 +342,13 @@ def _pg_log_ratio(parts: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
+    # np.asarray turns None into NaN
+    if x is None:
+        raise DomainError("evaluation points must be real numbers, got None")
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"evaluation points must be real numbers: {exc}") from None
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -533,17 +568,56 @@ _MODELS = {
 _BLOCK = 16384
 
 
+# with two usable CPUs a helper thread shares the blocks of a large array
+_SHARE_BLOCKS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1) >= 2
+
+
 def _blocked(kernel: _Kernel, params, arr: np.ndarray) -> np.ndarray:
     """``kernel(params, arr)``, evaluated _BLOCK points at a time.
 
     Every kernel is elementwise, so the values are those of one call.
+    With two or more usable CPUs the caller and one helper thread take
+    block starts from one shared iterator (``next`` on a range iterator
+    is atomic under the GIL) until none are left.  Only one helper, as
+    each thread holds its own block's temporaries: the peak stays near
+    one output.  numpy's error state is per thread and a new thread
+    starts with the defaults, so each loop silences warnings itself.
+    The helper's exception is raised in the caller, and no thread
+    outlives the call.
     """
     if arr.size <= _BLOCK:
         return kernel(params, arr)
     flat = arr.reshape(-1)
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _BLOCK):
-        out[start:start + _BLOCK] = kernel(params, flat[start:start + _BLOCK])
+    starts = iter(range(0, flat.size, _BLOCK))
+
+    def run():
+        with np.errstate(all="ignore"):
+            for start in starts:
+                out[start:start + _BLOCK] = kernel(params, flat[start:start + _BLOCK])
+
+    if not _SHARE_BLOCKS:
+        run()
+        return out.reshape(arr.shape)
+    failed: list[BaseException] = []
+
+    def helper():
+        try:
+            run()
+        except BaseException as exc:  # re-raised in the caller
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        run()
+    finally:
+        for _ in starts:  # if the caller failed, leave the helper no more blocks
+            pass
+        thread.join()
+    if failed:
+        raise failed[0]
     return out.reshape(arr.shape)
 
 

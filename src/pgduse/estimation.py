@@ -38,6 +38,7 @@ from .distributions import (
     _coerce,
     _count,
     _log_f,
+    _not_a_kind,
     _pg_log_ratio,
     _pg_parts,
     log_pdf,
@@ -233,7 +234,10 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
     if not 0.0 < rate < math.inf:
         raise DomainError(f"n / sum(x) = {rate!r} is not a finite positive rate; "
                           "rescale the sample")
-    profile, rate_index = _PROFILES[kind], _MODELS[kind].rate_index
+    try:
+        profile, rate_index = _PROFILES[kind], _MODELS[kind].rate_index
+    except (KeyError, TypeError):
+        raise _not_a_kind(kind) from None
     # (params, score) or None by log-rate, for this fit only
     memo: dict[float, tuple | None] = {}
 

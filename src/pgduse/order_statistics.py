@@ -50,6 +50,12 @@ class OrderSpec:
         object.__setattr__(self, "r", r)
 
 
+def _ranks(spec: OrderSpec) -> tuple[int, int]:
+    if not isinstance(spec, OrderSpec):
+        raise DomainError(f"expected an OrderSpec, got {spec!r}")
+    return spec.n, spec.r
+
+
 def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     """Density of the r-th smallest of n draws at ``x``.
 
@@ -60,7 +66,7 @@ def order_stat_pdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     never arises.  Raises :class:`DomainError` if r*theta overflows.
     """
     params = _coerce(ModelKind.PGDUSE, p)
-    n, r = spec.n, spec.r
+    n, r = _ranks(spec)
     if not math.isfinite(r * params[1]):
         raise DomainError(f"rank times theta must be finite, got {r} * {params[1]!r}")
     log_coef = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
@@ -81,8 +87,9 @@ def order_stat_cdf(p: PgduseParams, spec: OrderSpec, x: ArrayLike):
     """P(r-th smallest of n draws <= x) = I_G(r, n - r + 1)."""
     from scipy.special import betainc
     params = _coerce(ModelKind.PGDUSE, p)
+    n, r = _ranks(spec)
     arr, scalar = _split_input(x)
-    out = betainc(spec.r, spec.n - spec.r + 1, cdf(ModelKind.PGDUSE, params, arr))
+    out = betainc(r, n - r + 1, cdf(ModelKind.PGDUSE, params, arr))
     return _wrap_output(np.clip(out, 0.0, 1.0), scalar)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -20,15 +24,21 @@ from pgduse import (
     NonPositiveParameter,
     OrderSpec,
     PgduseParams,
+    ScalarParam,
     cdf,
+    compare,
+    fit_mle,
     hazard,
     ks_pvalue,
     ks_statistic,
     log_pdf,
     median,
+    mgf,
+    order_stat_cdf,
     order_stat_pdf,
     pdf,
     quantile,
+    renyi_entropy,
     sample,
     score_pgduse,
     survival,
@@ -69,6 +79,41 @@ def test_validate_params_rejects_nonpositive(raw):
 def test_validate_params_arity(kind, raw):
     with pytest.raises(ArityMismatch):
         validate_params(kind, raw)
+
+
+_PG = ModelKind.PGDUSE
+
+
+@pytest.mark.parametrize("call,error", [
+    (partial(pdf, _PG, ("a", 2), 1.0), DomainError),
+    (partial(pdf, _PG, (None, 2), 1.0), DomainError),
+    (partial(validate_params, _PG, None), DomainError),
+    (partial(cdf, _PG, (1, 2), "abc"), DomainError),
+    (partial(cdf, _PG, (1, 2), None), DomainError),
+    (partial(quantile, _PG, (1, 2), "x"), DomainError),
+    (partial(mgf, PgduseParams(1, 2), "x"), DomainError),
+    (partial(renyi_entropy, _PG, (1, 2), "x"), DomainError),
+    (partial(Dataset, ["a"]), NonPositiveObservation),
+], ids=["param-str", "param-none", "params-none", "x-str", "x-none", "q-str",
+        "mgf-t", "renyi-order", "dataset"])
+def test_non_numeric_input_is_a_library_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    partial(fit_mle, "pgduse", Dataset([1.0, 2.0, 3.0])),
+    partial(compare, Dataset([1.0, 2.0, 3.0]), ["weibull"]),
+    partial(sample, "ed", (1.0,), 3, 1),
+    partial(pdf, "ed", ScalarParam(1.0), 1.0),
+    partial(pdf, [1], (1.0,), 1.0),
+    partial(ModelKind.parse, None),
+    partial(order_stat_cdf, (1, 2), None, 1.0),
+    partial(order_stat_pdf, (1, 2), None, 1.0),
+], ids=["fit", "compare", "sample", "typed-pdf", "list-kind", "parse", "order-cdf", "order-pdf"])
+def test_a_str_or_none_for_a_kind_or_spec_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_dataset_invariants():
@@ -551,6 +596,22 @@ def _straddle(base, values):
     return out
 
 
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _spy_on_threads(monkeypatch) -> list:
+    """Every thread started from here on, appended to the returned list."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
 @pytest.mark.parametrize("size", (_BLOCK, _BLOCK + 1, 3 * _BLOCK + 17))
 def test_blocked_values_equal_one_whole_array_call(size, monkeypatch):
     rng = np.random.default_rng(size)
@@ -563,13 +624,118 @@ def test_blocked_values_equal_one_whole_array_call(size, monkeypatch):
         for params in grid_params(kind)[::5] + huge.get(kind, []):
             calls += [partial(fn, kind, params, xs) for fn in _SWEEP_FNS]
             calls.append(partial(quantile, kind, params, qs))
+    started = _spy_on_threads(monkeypatch)
     blocked = [call() for call in calls]
+    # the helper shares the blocks wherever there are two blocks and two CPUs
+    assert bool(started) == (size > _BLOCK and _CPUS >= 2)
+    assert len(started) <= len(calls)
+    assert not any(thread.is_alive() for thread in started)
     # one block as large as the input: the kernel's single whole-array call
     monkeypatch.setattr(distributions, "_BLOCK", size)
     for call, got in zip(calls, blocked):
         want = call()
         assert np.array_equal(got, want, equal_nan=True), call
         assert np.array_equal(np.signbit(got), np.signbit(want)), call
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    xs = _straddle(np.random.default_rng(3).exponential(3.0, 3 * _BLOCK + 5), _EDGE_POINTS)
+    calls = [partial(fn, kind, grid_params(kind)[0], xs) for kind in ALL_KINDS for fn in _SWEEP_FNS]
+    shared = [call() for call in calls]
+    monkeypatch.setattr(distributions, "_SHARE_BLOCKS", False)
+    started = _spy_on_threads(monkeypatch)
+    for call, want in zip(calls, shared):
+        got = call()
+        assert np.array_equal(got, want, equal_nan=True), call
+        assert np.array_equal(np.signbit(got), np.signbit(want)), call
+    assert started == []
+
+
+def test_a_kernel_error_in_its_third_block_reaches_the_caller():
+    threads = threading.active_count()
+
+    def kernel(params, x):
+        if x[0] == 2 * _BLOCK:
+            raise ZeroDivisionError("third block")
+        return x
+
+    with pytest.raises(ZeroDivisionError, match="third block"):
+        distributions._blocked(kernel, (), np.arange(5.0 * _BLOCK))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="one usable CPU: the caller takes every block")
+def test_an_error_in_the_helper_reaches_the_caller():
+    threads, caller = threading.active_count(), threading.get_ident()
+    helper_failed = threading.Event()
+
+    def kernel(params, x):
+        if threading.get_ident() == caller:
+            # hold the caller's first block until the helper has taken one
+            assert helper_failed.wait(10.0)
+            return x
+        helper_failed.set()
+        raise ZeroDivisionError("helper")
+
+    with pytest.raises(ZeroDivisionError, match="helper"):
+        distributions._blocked(kernel, (), np.arange(5.0 * _BLOCK))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="one usable CPU: the caller takes every block")
+def test_an_error_in_the_caller_leaves_the_helper_no_more_blocks(monkeypatch):
+    threads, caller = threading.active_count(), threading.get_ident()
+    helper_blocks = []
+
+    def kernel(params, x):
+        if threading.get_ident() == caller:
+            raise ZeroDivisionError("caller")
+        helper_blocks.append(x[0])
+        time.sleep(0.001)
+        return x
+
+    monkeypatch.setattr(distributions, "_BLOCK", 1)
+    with pytest.raises(ZeroDivisionError, match="caller"):
+        distributions._blocked(kernel, (), np.arange(1000.0))
+    assert threading.active_count() == threads
+    assert len(helper_blocks) < 500
+
+
+def test_concurrent_calls_keep_every_block_under_a_short_switch_interval():
+    # more callers than CPUs, each with its helper, switching every microsecond:
+    # a block taken twice or never would leave np.empty's garbage or a wrong value
+    xs = np.linspace(-1.0, 60.0, 7 * _BLOCK + 3)
+    want = hazard(_PG, (1.0, 2.0), xs)
+    results = {}
+
+    def caller(i):
+        results[i] = [hazard(_PG, (1.0, 2.0), xs) for _ in range(5)]
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert sorted(results) == [0, 1, 2, 3]
+    for outs in results.values():
+        for got in outs:
+            assert np.array_equal(got, want)
+
+
+def test_every_thread_silences_the_kernels_warnings():
+    # negative points and 0 in every block: log(0) and log of a negative
+    # warn, and the test configuration turns RuntimeWarning into an error
+    xs = np.tile([-1.0, 0.0, -0.0, 0.5, 2.0], 20_000)
+    for kind in ALL_KINDS:
+        for params in (grid_params(kind)[0], grid_params(kind)[-1]):
+            for fn in (log_pdf, hazard):
+                fn(kind, params, xs)
 
 
 def test_array_calls_keep_about_one_output_live():
