@@ -25,7 +25,7 @@ After swapping the order of summation and integration, each term reduces
 to a Poisson-weighted mean ``E[h(M)]`` with ``M ~ Poisson(k - shift)``:
 
 * raw moments:      h(m) = (m + 1)**-(r + 1)
-* mgf / cf:         h(m) = 1 / (lam*(m + 1) - t)      (t -> i*t for the cf)
+* mgf / cf:         h(m) = 1 / (m + 1 - t/lam)        (t -> i*t for the cf)
 * Renyi entropy:    h(m) = 1 / (m + delta)
 
 These means are computed in a normalized form that never exponentiates
@@ -36,10 +36,12 @@ cancel.  The outer sum over k does cancel, so those means are summed in
 30-digit decimal arithmetic and rounded once.  The other means are taken
 in runs of 8, 16, 32 and then 64 terms: one matrix holds the Poisson
 weights of a run's means over a shared window of m, and one product with
-h(m) gives them all.  Below a mean of 40 the weights come from the
-recurrence z/m, to about 1e-16; above it from their logs, to about 1e-13
-at 400.  The terms still enter the sum one at a time, so a run never moves
-where a series stops or whether it raises.
+h(m) gives them all.  Every weight comes from its log, and each mean is
+divided by its row's weight sum, which cancels the rounding the logs share;
+the means keep about 1e-14 at every z, 1000 included.  The terms still
+enter the sum one at a time, so a run never moves where a series stops or
+whether it raises.  The mgf and cf take h in units of 1/lam, so they
+depend on lam and t only through t/lam, and no rate scales a weight or h.
 """
 
 from __future__ import annotations
@@ -106,26 +108,20 @@ class SeriesOptions:
 # Poisson-weighted means
 # ----------------------------------------------------------------------
 
-# Below this mean the Poisson weights are built by the recurrence z/m from
-# m = 0, to about 1e-16; above it z**m/m! would overflow, so they come from
-# their logs, whose rounding grows with z: about 1e-13 at z = 400.
-_RECURRENCE = 40.0
 # The series terms take their means in runs: the first of this many, each
 # next run twice as long, up to the longest.  A run costs one matrix
 # product; the means a series that stops inside a run did not need are the
 # waste.
 _FIRST_RUN = 8
 _LONGEST_RUN = 64
+# log z at z = 0, where m*log(z) would be 0*(-inf): the row's weights are
+# then 1 at m = 0 and below 1e-300 elsewhere
+_TINY = float(np.finfo(float).tiny)
 
 
 def _reach(z: float) -> tuple[int, int]:
-    """The first and last m whose Poisson(z) weight a mean takes.
-
-    From 0 to 3z + 80 below ``_RECURRENCE``; above it z -+ (12 sqrt(z) +
-    25), where the weights are below 1e-30 of their peak.
-    """
-    if z < _RECURRENCE:
-        return 0, int(3.0 * z) + 80
+    """The first and last m whose Poisson(z) weight a mean takes: z -+
+    (12 sqrt(z) + 25), past which the weights are below 1e-30 of their peak."""
     half = 12.0 * math.sqrt(z) + 25.0
     return max(int(z - half), 0), int(z + half) + 1
 
@@ -135,33 +131,25 @@ def _poisson_means(h_vec: Callable, z: np.ndarray, gammaln: Callable) -> np.ndar
 
     Each row of one weight matrix holds the weights of one z over the m
     that any row reaches, so the means are one product W @ h(m); past its
-    own reach a row's weights only shrink.  A row below ``_RECURRENCE``
-    holds z**m/m!, and its mean takes the factor exp(-z) after the product.
+    own reach a row's weights only shrink.  A row holds
+    exp(m log z - z - log m!), and its mean is divided by the row's sum:
+    the rounding of log z is shared by the row, so it amounts to a slightly
+    different z and cancels.  The -z keeps the logs below 0 near their
+    peak at m = z, so exp cannot overflow.
     """
-    split = int(np.searchsorted(z, _RECURRENCE))
-    near, far = z[:split, None], z[split:, None]
-    hi = max(_reach(z[max(split, 1) - 1])[1], _reach(z[-1])[1])
-    m = np.arange(_reach(z[0])[0], hi + 1)
-    weights = np.empty((z.size, m.size))
-    if split:
-        ratios = weights[:split]
-        ratios[:, 0] = 1.0
-        np.divide(near, m[1:], out=ratios[:, 1:])
-        np.cumprod(ratios, axis=1, out=ratios)
-    if far.size:
-        logs = weights[split:]          # m log z - z - log m!, built in place
-        np.multiply(m, np.log(far), out=logs)
-        logs -= far
-        logs -= gammaln(m + 1.0)
-        np.exp(logs, out=logs)
+    m = np.arange(_reach(z[0])[0], _reach(z[-1])[1] + 1)
+    rows = z[:, None]
+    weights = np.multiply(m, np.log(np.maximum(rows, _TINY)))   # the logs, built in place
+    weights -= rows
+    weights -= gammaln(m + 1.0)
+    np.exp(weights, out=weights)
     h = h_vec(m)
     if np.iscomplexobj(h):
         # W @ h would copy W to complex, three times slower
         means = weights @ h.real + 1j * (weights @ h.imag)
     else:
         means = weights @ h
-    means[:split] *= np.exp(-near[:, 0])
-    return means
+    return means / weights.sum(axis=1)
 
 
 def _series_means(h_vec: Callable, h_neg: Callable, shift: float, count: int, gammaln: Callable):
@@ -196,27 +184,25 @@ _EXTRA_TERMS = 100
 _TAIL = Decimal("1e-20")
 
 
-def _reciprocal_mean(w: float, shift: float, tau: complex = 0.0, scale: float = 1.0):
-    """E[h(M)], h(m) = 1 / (scale*(m + shift) - tau), M ~ Poisson(-w), w > 0.
+def _reciprocal_mean(w: float, shift: float, tau: complex = 0.0):
+    """E[h(M)], h(m) = 1 / (m + shift - tau), M ~ Poisson(-w), w > 0.
 
-    With b = scale*shift - tau this is the sum over m of
-    (scale*w)**m / prod_(j=0..m) (scale*j + b): for c = b/scale, the
-    Kummer series of integral_0^1 u**(c-1) exp(w*(1-u)) du / scale
+    With b = shift - tau this is the sum over m of w**m / prod_(j=0..m)
+    (j + b): the Kummer series of integral_0^1 u**(b-1) exp(w*(1-u)) du
     (DLMF 13.4.1).  For real tau the terms are positive; for complex tau,
     Re b > 0, their moduli fall once m passes w.  A complex ``tau`` gives
     a complex mean.
     """
     with localcontext() as ctx:
         ctx.prec = _DIGITS
-        a = Decimal(scale)
-        ratio = Decimal(w) * a
-        b_re = a * Decimal(shift) - Decimal(tau.real)
+        ratio = Decimal(w)
+        b_re = Decimal(shift) - Decimal(tau.real)
         b_im = -Decimal(tau.imag)
         norm = b_re * b_re + b_im * b_im
         t_re, t_im = b_re / norm, -b_im / norm          # the m = 0 term, 1/b
         s_re, s_im = t_re, t_im
         for m in range(1, int(2.0 * w) + _EXTRA_TERMS):
-            d_re = a * m + b_re                          # term *= ratio / (d_re + i*b_im)
+            d_re = m + b_re                              # term *= ratio / (d_re + i*b_im)
             k = ratio / (d_re * d_re + b_im * b_im)
             t_re, t_im = k * (t_re * d_re + t_im * b_im), k * (t_im * d_re - t_re * b_im)
             s_re += t_re
@@ -427,10 +413,16 @@ def raw_moment_quadrature(kind: ModelKind, p, r: int) -> float:
 # ----------------------------------------------------------------------
 
 def _generating_series(lam: float, theta: float, tau, opts: SeriesOptions):
-    """E[exp(tau X)] by the binomial series, for real tau < lam or imaginary tau."""
-    prefactor = theta * lam / _EM1 ** theta
-    kernel = _binomial_series(theta - 1.0, theta, lambda m: 1.0 / (lam * (m + 1.0) - tau),
-                              lambda w: _reciprocal_mean(w, 1.0, tau, lam), theta + 1.0, opts)
+    """E[exp(tau X)] by the binomial series, for real tau < lam or imaginary tau.
+
+    h is in units of 1/lam, so the value depends on lam and tau only
+    through tau/lam, as it does for a scale family."""
+    s = tau / lam
+    if not cmath.isfinite(s):
+        raise DomainError(f"t/lambda must be finite, got |t| = {abs(tau)!r}, lambda = {lam!r}")
+    prefactor = theta / _EM1 ** theta
+    kernel = _binomial_series(theta - 1.0, theta, lambda m: 1.0 / (m + 1.0 - s),
+                              lambda w: _reciprocal_mean(w, 1.0, s), theta + 1.0, opts)
     return prefactor * kernel
 
 

@@ -23,6 +23,8 @@ hazard keep their digits after the survival underflows.
 
 Every function here is pure and accepts scalar or array-like evaluation
 points, returning a ``float`` for scalar input and an ``ndarray`` otherwise.
+The points must be bool, integer or float; None, text, complex or object
+input raises ``DomainError``.
 Values of x below 0 follow the plotting-friendly convention cdf = 0,
 pdf = 0, survival = 1.
 
@@ -194,6 +196,8 @@ def validate_params(kind: ModelKind, raw: Sequence[float]) -> ParamVector:
     except (KeyError, TypeError):
         raise _not_a_kind(kind) from None
     try:
+        if isinstance(raw, (str, bytes, bytearray)):   # iterable, but as characters
+            raise TypeError
         raw = tuple(raw)
     except TypeError:
         raise DomainError(f"parameters must be a sequence of numbers, got {raw!r}") from None
@@ -342,13 +346,15 @@ def _pg_log_ratio(parts: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
-    # np.asarray turns None into NaN
-    if x is None:
-        raise DomainError("evaluation points must be real numbers, got None")
+    # converting straight to float would turn None into NaN and parse text,
+    # so only bool, integer and float arrays go on; a float array is not copied
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"evaluation points must be real numbers: {exc}") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"evaluation points must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     return np.atleast_1d(arr), arr.ndim == 0
 
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -87,7 +88,10 @@ ONE_ROUNDING = 1.2e-16
 
 
 # (shift, tau, scale) of h(m) = 1/(scale*(m + shift) - tau): Renyi entropy
-# (c = shift), the mgf (real tau) and the cf (imaginary tau)
+# (c = shift), the mgf (real tau) and the cf (imaginary tau).  The means
+# take h in units of 1/scale: h is 1/scale times 1/(m + shift - tau/scale),
+# and for the scales 0.5 and 2 both factors are exact (tau/scale is -1.8
+# and 1.2j)
 @pytest.mark.parametrize("shift, tau, scale", [
     (0.5, 0.0, 1.0), (0.7, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
     (1.0, 0.3, 1.0), (1.0, -0.9, 0.5), (1.0, 0.7j, 1.0), (1.0, 30j, 1.0), (1.0, 2.4j, 2.0),
@@ -97,7 +101,7 @@ def test_reciprocal_mean_matches_the_alternating_sum(shift, tau, scale):
     scale_mp, shift_mp = mpmath.mpf(scale), mpmath.mpf(shift)
     for z in NEG_Z:
         want = alternating_poisson_mean(lambda m: 1 / (scale_mp * (m + shift_mp) - tau_mp), z)
-        got = _reciprocal_mean(-z, shift, tau, scale)
+        got = _reciprocal_mean(-z, shift, tau / scale) / scale
         assert isinstance(got, complex) == isinstance(tau, complex)
         assert abs(got - want) <= ONE_ROUNDING * abs(want)
 
@@ -113,9 +117,10 @@ def test_power_mean_matches_the_alternating_sum(r):
 # Poisson means at nonnegative argument, one weight matrix per run
 # ----------------------------------------------------------------------
 
-# both sides of the switch from the recurrence to log weights at z = 40, and
-# the largest means that a 400-term series reaches
-POS_Z = np.array([0.0, 1e-3, 0.5, 5.0, 39.5, 40.0, 40.5, 120.0, 199.5, 399.0])
+# z = 0, where log z is -inf, small and moderate means, the largest that a
+# 400-term series reaches, and past it to where exp(-z) alone underflows
+# (z > 745), which the log weights must survive
+POS_Z = np.array([0.0, 1e-3, 0.5, 5.0, 39.5, 40.0, 40.5, 120.0, 199.5, 399.0, 700.0, 999.5])
 
 
 def _reciprocal_case(scale, tau):
@@ -146,7 +151,7 @@ def test_poisson_means_match_mpmath(case):
     # at the largest z
     together = _poisson_means(h, POS_Z, gammaln)
     alone = np.array([_poisson_means(h, POS_Z[i:i + 1], gammaln)[0] for i in range(POS_Z.size)])
-    bound = np.where(POS_Z < 40.0, 1e-15, 2e-13) * np.abs(want)
+    bound = 1e-14 * np.abs(want)
     for got in (together, alone):
         assert np.iscomplexobj(got) == np.iscomplexobj(want)
         assert np.all(np.abs(got - want) <= bound)
@@ -332,6 +337,32 @@ def test_cgf_is_log_of_cf():
     p = PgduseParams(1.0, 2.0)
     value = cgf(p, 0.7, ACC)
     assert np.exp(value) == pytest.approx(cf(p, 0.7, ACC), rel=1e-12)
+
+
+# t/lambda of the mgf, and of the cf and cgf: both signs, the tiny ratio of
+# an O(1) t at a huge rate, and 0
+SCALE_FAMILY = {mgf: (-2.0, -1e-250, 0.0, 0.3, 0.9), cf: (-3.0, 1e-250, 0.5, 3.0),
+                cgf: (-3.0, 1e-250, 0.5, 3.0)}
+
+
+@pytest.mark.parametrize("route", SCALE_FAMILY, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("theta", (0.5, 2.5, 7.5))
+def test_generating_functions_are_a_scale_family(route, theta):
+    # X at rate lam is X at rate 1 over lam, so E[exp(t X)] at lam is the
+    # unit-rate value at t/lam, bit for bit, however far lam is from 1
+    for lam in (1e-300, 1e-200, 1e-3, 0.5, 2.0, 1e3, 1e200, 1e300):
+        for s in SCALE_FAMILY[route]:
+            t = s * lam
+            value = route(PgduseParams(lam, theta), t)
+            assert value == route(PgduseParams(1.0, theta), t / lam)
+            assert cmath.isfinite(value)
+
+
+def test_an_overflowing_t_over_lambda_is_a_domain_error():
+    with pytest.raises(DomainError):
+        mgf(PgduseParams(1e-10, 2.5), -1e300)
+    with pytest.raises(DomainError):
+        cf(PgduseParams(1e-300, 2.5), 1e300)
 
 
 # ----------------------------------------------------------------------

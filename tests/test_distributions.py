@@ -94,11 +94,48 @@ _PG = ModelKind.PGDUSE
     (partial(mgf, PgduseParams(1, 2), "x"), DomainError),
     (partial(renyi_entropy, _PG, (1, 2), "x"), DomainError),
     (partial(Dataset, ["a"]), NonPositiveObservation),
+    # text iterates as characters and bytes as their codes: "12" was (1, 2)
+    # and b"12" was (49, 50)
+    (partial(pdf, _PG, "12", 1.0), DomainError),
+    (partial(validate_params, _PG, b"12"), DomainError),
+    (partial(validate_params, ModelKind.ED, bytearray(b"5")), DomainError),
 ], ids=["param-str", "param-none", "params-none", "x-str", "x-none", "q-str",
-        "mgf-t", "renyi-order", "dataset"])
+        "mgf-t", "renyi-order", "dataset", "params-text", "params-bytes", "params-bytearray"])
 def test_non_numeric_input_is_a_library_error(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("fn", [cdf, pdf, log_pdf, survival, hazard, quantile],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("x", [
+    [0.5, None], ["0.5", 2.0], np.array(["0.5"]), np.array([0.5], dtype=object),
+    [0.5j], [np.datetime64("2020-01-01")], 10 ** 400,
+], ids=["none-inside", "text-inside", "text-array", "object-array", "complex",
+        "datetime", "huge-int"])
+def test_points_that_are_not_real_numbers_are_a_domain_error(fn, x):
+    # none of these may become NaN, be parsed, or be read as a number
+    with pytest.raises(DomainError):
+        fn(_PG, (1, 2), x)
+
+
+@pytest.mark.parametrize("x", [
+    0.5, 1, True, np.float32(0.5), np.int8(1), np.array(0.5), [0.5, 2], [True, 3],
+    np.arange(3), np.arange(3, dtype=np.uint8), np.linspace(0.0, 0.9, 4, dtype=np.float32),
+], ids=["float", "int", "bool", "float32", "int8", "0-d", "list", "bool-list",
+        "int-array", "uint8-array", "float32-array"])
+def test_real_numbers_of_every_kind_are_evaluation_points(x):
+    as_float = np.asarray(x, dtype=float)
+    for fn in (cdf, quantile):
+        got = fn(_PG, (1, 2), x if fn is cdf else np.asarray(x) * 0.25)
+        want = fn(_PG, (1, 2), as_float if fn is cdf else as_float * 0.25)
+        assert type(got) is type(want) is (float if as_float.ndim == 0 else np.ndarray)
+        assert np.array_equal(got, want)
+
+
+def test_a_float_array_goes_to_the_kernels_uncopied():
+    grid = np.linspace(0.0, 3.0, 7)
+    assert distributions._split_input(grid)[0] is grid
 
 
 @pytest.mark.parametrize("call", [
