@@ -5,10 +5,10 @@ Each analytic quantity comes in two independent routes:
 * a series route that expands ``(exp(1 - exp(-lam*x)) - 1)**(theta - 1)``
   with the generalized binomial theorem and integrates term by term, and
 * a quadrature route that integrates the density directly: one
-  tanh-sinh integral of a log-space integrand over the half-line, its
-  nodes passed to ``log_pdf`` as arrays, or for the cf QUADPACK's
-  Fourier weights, one float per distinct node, straight to the density
-  kernel.
+  tanh-sinh integral of a log-space integrand over the half-line, by
+  scipy's ``tanhsinh`` rule written here in numpy, its nodes passed to
+  ``log_pdf`` as one array per level, or for the cf QUADPACK's Fourier
+  weights, one float per distinct node, straight to the density kernel.
 
 The series route is exact term-for-term for integer ``theta`` (the
 expansion terminates), and for non-integer ``theta`` the terms decay like
@@ -332,27 +332,142 @@ def _validated(kind: ModelKind, p):
 _CUT_LEVELS = np.concatenate(([0.0], 2.0 ** -np.arange(50, 0, -1), 1.0 - 2.0 ** -np.arange(2, 51)))
 
 
+def _tanh_sinh_pairs():
+    """The step h0 and, per level, the abscissa-weight pairs of the rule.
+
+    Level k has step h0 / 2**k and adds the odd multiples j of it (level 0
+    every j); a pair holds 1 - x_j = 1 / (exp(u2) cosh(u2)), stored as the
+    complement so that nodes near an end keep their digits, and the weight
+    (pi/2) cosh(jh) / cosh(u2)**2, u2 = (pi/2) sinh(jh).  h0 makes the last
+    complement 4 times the smallest normal double (scipy's base step).  The
+    first entry joins levels 0-2, which run as one; each entry also holds
+    the nodes t of [0, 1], for the tail's map x = 1/t - 1 + a and its
+    factor 1/t**2.
+    """
+    fmin = 4.0 * np.finfo(float).smallest_normal
+    h0 = np.float64(math.asinh(math.log(2.0 / fmin - 1.0) / math.pi) / 8)
+    levels = []
+    with np.errstate(over="ignore"):
+        for k in range(11):
+            jh = (np.arange(9) if k == 0 else np.arange(1, 8 * 2 ** k + 1, 2)) * (h0 / 2 ** k)
+            u2 = math.pi / 2 * np.sinh(jh)
+            levels.append((1 / (np.exp(u2) * np.cosh(u2)), math.pi / 2 * np.cosh(jh) / np.cosh(u2) ** 2))
+        levels[0][1][0] /= 2                   # the centre, j = 0, is a node of both sides
+        table = []
+        for xc, w in [tuple(map(np.concatenate, zip(*levels[:3])))] + levels[3:]:
+            t = np.stack((1.0 - 0.5 * xc, 0.5 * xc))
+            table.append((xc, np.stack((w, w)), 1 / t - 1, t ** -2.0))
+    return h0, table
+
+
+_H0, _PAIRS = _tanh_sinh_pairs()
+# the right side of an interval keeps its nodes' abscissae, the left side negates them,
+# so the outermost node of either side is its largest
+_OUTWARD = np.array([[1.0], [-1.0]])
+
+
+def _tanh_sinh(func: Callable, a: np.ndarray, b: np.ndarray):
+    """Integrals of ``func`` over [a_i, b_i], a_i <= b_i, b_i finite or +inf.
+
+    The double-exponential rule of Takahasi & Mori (1974) with the level
+    sums and error estimate of Bailey, Jeyabalan & Li (2005, Exp. Math.
+    14(3)), as scipy's ``tanhsinh`` runs it with ``rtol=_REL_TOL``: levels
+    0-2 at once and then one level at a time up to 10, a node that rounds
+    onto an end weighted 0, a non-finite value replaced by that of the
+    side's outermost finite node, [a, inf) mapped to [0, 1] by
+    x = 1/t - 1 + a.  ``func`` takes and returns a 1-d array: the first
+    call holds every interval's midpoint (a NaN there ends the interval)
+    and its nodes of levels 0-2, each later call the nodes of the intervals
+    still open.  Returns the integrals, their error estimates and a status
+    per interval: 0 converged, -2 still open after level 10, -3 non-finite.
+    """
+    n = a.size
+    tail = np.isinf(b)
+    lo, hi = np.where(tail, 0.0, a), np.where(tail, 1.0, b)
+    half = (hi - lo) / 2
+    base, move = np.stack((hi, lo), axis=1)[:, :, None], np.stack((-half, half), axis=1)[:, :, None]
+    lo, hi, half = lo[:, None, None], hi[:, None, None], half[:, None, None]
+    value, error, status = np.zeros(n), np.zeros(n), np.where(a == b, 0, -1)
+    # per side, its outermost node with a finite value and a weight so far:
+    # (the outward abscissa, value, weight); and the last two level sums
+    edge = np.zeros((n, 2, 3))
+    edge[:, :, :2] = -np.inf, np.nan
+    sums = np.zeros((n, 2))
+    i = np.flatnonzero(status == -1)
+    with np.errstate(all="ignore"):
+        mid = np.where(np.isinf(a), 0.0, np.where(tail, a + 1.0, (a + b) / 2))
+        for level, (xc, w, tail_x, tail_jac) in enumerate(_PAIRS, start=2):
+            rows, m, h = i.size, xc.size, _H0 / 2 ** level
+            t = base[i] + move[i] * xc
+            wt = w * half[i]
+            wt[(t <= lo[i]) | (t >= hi[i])] = 0.0
+            x, r = t.copy(), tail[i]
+            x[r] = tail_x + a[i[r], None, None]
+            if level == 2:
+                fx = func(np.concatenate((mid, x.ravel())))
+                fmid, fx = fx[:n], fx[n:].reshape(t.shape)
+            else:
+                fx = func(x.ravel()).reshape(t.shape)
+            fx[r] *= tail_jac
+            bad = ~np.isfinite(fx) | (wt == 0.0)
+            out = t * _OUTWARD
+            out[bad] = -np.inf
+            k = np.arange(0, 2 * rows * m, m) + out.argmax(axis=2).ravel()
+            node = np.stack((out.ravel()[k], fx.ravel()[k], wt.ravel()[k]), axis=1).reshape(rows, 2, 3)
+            e = edge[i]
+            np.copyto(e, node, where=node[:, :, :1] > e[:, :, :1])
+            edge[i] = e
+            np.copyto(fx, e[:, :, 1:2], where=bad)
+            fw = fx * wt
+            sn = fw.reshape(rows, -1).sum(axis=1) * h
+            if level == 2:
+                # each side's first 9 pairs are level 0, its first 17 levels 0-1
+                prev2 = fw[:, :, :9].reshape(rows, -1).sum(axis=1) * (4 * h)
+                prev1 = fw[:, :, :17].reshape(rows, -1).sum(axis=1) * (2 * h)
+            else:
+                prev2, prev1 = sums[i].T
+                sn = prev1 / 2 + sn
+            d1, d2 = np.abs(sn - prev1), np.abs(sn - prev2)
+            d3 = _EPS * np.abs(fw).max(axis=(1, 2))
+            d4 = np.abs(e[:, :, 1] * e[:, :, 2]).max(axis=1)
+            guess = d1 ** (np.log(d1) / np.log(d2))
+            guess[d1 == 0.0] = 0.0
+            err = np.maximum(np.maximum(guess, d1 ** 2), np.maximum(d3, d4))
+            err = np.minimum(np.maximum(err, _EPS * np.abs(sn)), d1)
+            value[i], error[i], sums[i, 0], sums[i, 1] = sn, err, prev1, sn
+            done = err / np.abs(sn) < _REL_TOL
+            status[i[done]] = 0
+            status[i[~done & ~np.isfinite(sn)]] = -3
+            if level == 2:
+                nan = np.isnan(fmid)
+                value[nan] = error[nan] = np.nan
+                status[nan & (a != b)] = -3
+            i = np.flatnonzero(status == -1)
+            if not i.size:
+                break
+    status[i] = -2
+    return value, error, status
+
+
 def _integral(kind: ModelKind, typed, log_integrand: Callable) -> float:
     """Integral of exp(log_integrand(x)) > 0 over the half-line, by tanh-sinh.
 
-    One vectorised ``tanhsinh`` call covers the intervals between the cut
+    One :func:`_tanh_sinh` run covers the intervals between the cut
     quantiles (merged where they round together, as the lower ones do at
     small shapes) and out to +inf; the double-exponential map takes the
     singularity at 0 and the infinite limit.  In log space exp(t*x) * pdf
-    never overflows; endpoint nodes get no weight, so their warnings are
-    silenced.  An unconverged interval's error estimate bounds nothing, so
-    it may hold at most an ulp of the value, as tails that underflow do.
+    never overflows.  An unconverged interval's error estimate bounds
+    nothing, so it may hold at most an ulp of the value, as tails that
+    underflow do.
     """
-    from scipy.integrate import tanhsinh
     cuts = np.unique(quantile(kind, typed, _CUT_LEVELS))
-    with np.errstate(all="ignore"):
-        res = tanhsinh(lambda x: np.exp(log_integrand(x)), cuts, np.append(cuts[1:], np.inf),
-                       rtol=_REL_TOL)
-    value, abserr = float(np.sum(res.integral)), float(np.sum(res.error))
-    stray = float(np.sum((res.integral + res.error)[res.status != 0]))
+    integral, error, status = _tanh_sinh(lambda x: np.exp(log_integrand(x)), cuts,
+                                         np.append(cuts[1:], np.inf))
+    value, abserr = float(np.sum(integral)), float(np.sum(error))
+    stray = float(np.sum((integral + error)[status != 0]))
     if not (0.0 < value < math.inf and abserr <= _REL_TOL * value and stray <= _EPS * value):
         raise QuadFailure(f"tanh-sinh quadrature failed: value={value!r}, abserr={abserr!r}, "
-                          f"{np.count_nonzero(res.status)} of {res.status.size} intervals open")
+                          f"{np.count_nonzero(status)} of {status.size} intervals open")
     return value
 
 
@@ -383,19 +498,30 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     The double sum is ``theta * r! / ((e-1)**theta * lam**r)`` times the
     binomial-series kernel; for ``theta = 2`` it reduces term-for-term to
     the familiar two-sum expression over ``2**m / (m! (1+m)**(r+1))``.
+    The kernel does not depend on lam: the moment at lam = 1 is scaled by
+    lam**-r in log space, so it underflows to 0.0 or a subnormal.
 
     Raises
     ------
     SeriesDivergence
         If the term budget is exhausted and tail closure is impossible.
+    DomainError
+        If the moment overflows a double.
     """
     r = _count("moment order", r, 1)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    prefactor = theta * math.factorial(r) / (_EM1 ** theta * lam ** r)
     exponent = -(r + 1.0)
     kernel = _binomial_series(theta - 1.0, theta, lambda m: (m + 1.0) ** exponent,
                               lambda w: _power_mean(r + 1, w), theta + r + 1.0, opts)
-    return prefactor * kernel
+    unit = theta * math.factorial(r) / _EM1 ** theta * kernel        # the moment at lam = 1
+    # lam**-r in base-2 log space: frexp splits unit and lam into fractions
+    # and exact powers of two, so only ldexp can overflow or underflow
+    fraction, scale = math.frexp(unit)
+    mantissa, exponent = math.frexp(lam)
+    try:
+        return math.ldexp(fraction * mantissa ** -r, scale - r * exponent)
+    except OverflowError:
+        raise DomainError(f"E[X**{r}] overflows a double at lambda = {lam!r}") from None
 
 
 def raw_moment_quadrature(kind: ModelKind, p, r: int) -> float:
@@ -543,19 +669,22 @@ def renyi_entropy_series(
             * sum_k C(delta*(theta-1), k) (-1)**k E[1/(M+delta)],
             with M ~ Poisson(k - delta*theta).
 
+    The prefactor is taken in log space, where its lam**(delta - 1) gives
+    the scale family's -log(lam), so the entropy stays finite at every rate.
     Non-integrable parameter combinations surface as
     :class:`SeriesDivergence` (the tail exponent drops to 1 or below).
     """
     delta = _order(delta)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
     power = delta * (theta - 1.0)
-    prefactor = (theta * lam) ** delta / (lam * _EM1 ** (theta * delta))
     kernel = _binomial_series(power, delta * theta, lambda m: 1.0 / (m + delta),
                               lambda w: _reciprocal_mean(w, delta), power + 2.0, opts)
-    value = prefactor * kernel
-    if value <= 0.0:
+    if kernel <= 0.0:
         raise SeriesDivergence("series for the entropy integral lost positivity")
-    return math.log(value) / (1.0 - delta)
+    # the log of the prefactor is delta*log(theta) + (delta - 1)*log(lam)
+    # - theta*delta*log(e - 1); its lam term, divided by 1 - delta, is -log(lam)
+    log_unit = delta * math.log(theta) - theta * delta * math.log(_EM1) + math.log(kernel)
+    return log_unit / (1.0 - delta) - math.log(lam)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -215,6 +216,27 @@ def test_raw_moment_rejects_bad_order():
         raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 1.0), -1)
 
 
+# rates from the bottom to the top of the double range
+RATES = (1e-300, 1e-200, 1e-3, 1.0, 1e3, 1e200, 1e300)
+
+
+@pytest.mark.parametrize("r", (1, 2, 4))
+def test_moments_scale_by_a_power_of_the_rate(r):
+    # E[X**r] at lam is the unit-rate moment times lam**-r: within 2 ulps
+    # where that is a normal double, exact where it is subnormal (r = 2 at
+    # lam = 1e160) or underflows to 0, and a DomainError where it overflows
+    unit = raw_moment_series(PgduseParams(1.0, 2.5), r)
+    with mpmath.workdps(40):
+        for lam in RATES + (1e160,):
+            want = mpmath.mpf(unit) * mpmath.mpf(lam) ** -r
+            if want > sys.float_info.max:
+                with pytest.raises(DomainError):
+                    raw_moment_series(PgduseParams(lam, 2.5), r)
+            else:
+                value = raw_moment_series(PgduseParams(lam, 2.5), r)
+                assert value == pytest.approx(float(want), rel=4.5e-16, abs=0.0)
+
+
 def test_variance_positive_on_grid():
     for lam in GRID_LAMBDAS:
         for theta in GRID_THETAS:
@@ -389,6 +411,16 @@ def test_renyi_scale_shift():
     assert halved == pytest.approx(base - math.log(2.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("theta, delta", [(0.5, 0.5), (2.5, 0.5), (2.5, 2.0), (7.5, 3.0)])
+def test_renyi_series_is_a_scale_family(theta, delta):
+    # the entropy at lam is the unit-rate entropy - log(lam), finite at
+    # every rate the double range holds
+    unit = renyi_entropy_series(PgduseParams(1.0, theta), delta)
+    for lam in RATES:
+        value = renyi_entropy_series(PgduseParams(lam, theta), delta)
+        assert abs(value - (unit - math.log(lam))) <= 1e-15 * max(1.0, abs(value))
+
+
 @pytest.mark.parametrize("delta", (0.5, 2.0, 3.0))
 def test_renyi_series_matches_quadrature(delta):
     for theta in (1.0, 2.0):
@@ -473,18 +505,66 @@ def test_quadrature_oracles_match_mpmath_for_the_mgf(t):
 
 def test_quadrature_refuses_an_open_interval(monkeypatch):
     # an interval that stopped before converging fails the oracle even
-    # when the summed error estimate looks small.  The oracle imports
-    # tanhsinh at each call, so patching scipy's name reaches it
-    real = scipy.integrate.tanhsinh
+    # when the summed error estimate looks small
+    real = pgduse.analytic._tanh_sinh
 
-    def stop_the_largest(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.status[np.argmax(res.integral)] = -2
-        return res
+    def stop_the_largest(func, a, b):
+        integral, error, status = real(func, a, b)
+        status[np.argmax(integral)] = -2
+        return integral, error, status
 
-    monkeypatch.setattr(scipy.integrate, "tanhsinh", stop_the_largest)
+    monkeypatch.setattr(pgduse.analytic, "_tanh_sinh", stop_the_largest)
     with pytest.raises(QuadFailure):
         raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), 1)
+
+
+def _oracle_integrands(kind, typed):
+    """The oracles' log-integrands: moments 1-4, the Renyi orders 0.5 and
+    2.5, the cf at t = 0 and, for PGDUSE, the mgf at t = -1 and lam/2."""
+    log_pdf = lambda x: pgduse.distributions.log_pdf(kind, typed, x)
+    integrands = [lambda x, r=r: r * np.log(x) + log_pdf(x) for r in (1, 2, 3, 4)]
+    integrands += [lambda x, d=d: d * log_pdf(x) for d in (0.5, 2.5)] + [log_pdf]
+    if kind is ModelKind.PGDUSE:
+        integrands += [lambda x, t=t: t * x + log_pdf(x) for t in (-1.0, typed.lam / 2)]
+    return integrands
+
+
+@pytest.mark.parametrize("kind, params", [
+    *[(ModelKind.PGDUSE, (lam, theta)) for lam in (0.5, 1.0, 2.0)
+      for theta in (1e-3, 0.5, 1.0, 2.5, 5.0, 1e6)],
+    (ModelKind.GDUSE, (0.5, 2.3)), (ModelKind.KME, (1.0,)), (ModelKind.ED, (2.0,)),
+], ids=str)
+def test_tanh_sinh_is_scipys_rule(kind, params):
+    # on the oracles' own intervals, interval by interval: the status of
+    # scipy.integrate.tanhsinh, and its integral and error estimate within
+    # 1e-14.  The Renyi order 2.5 is not integrable at the smaller shapes,
+    # where both rules must fail alike
+    _, typed = pgduse.analytic._validated(kind, params)
+    cuts = np.unique(pgduse.distributions.quantile(kind, typed, pgduse.analytic._CUT_LEVELS))
+    upper = np.append(cuts[1:], np.inf)
+    for log_integrand in _oracle_integrands(kind, typed):
+        func = lambda x: np.exp(log_integrand(x))
+        with np.errstate(all="ignore"):
+            want = scipy.integrate.tanhsinh(func, cuts, upper, rtol=pgduse.analytic._REL_TOL)
+        integral, error, status = pgduse.analytic._tanh_sinh(func, cuts, upper)
+        np.testing.assert_array_equal(status, want.status)
+        np.testing.assert_allclose(integral, want.integral, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(error, want.error, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: renyi_entropy(ModelKind.PGDUSE, (1.0, 0.5), 1.98),
+    lambda: renyi_entropy(ModelKind.GDUSE, (0.01, 1.0), 1.0101),
+    lambda: mgf_quadrature((1.0, 2.0), 1.0 - 1e-9),
+    lambda: cf_quadrature((0.5, 0.05), 0.0),
+    lambda: mgf_quadrature((0.5, 0.05), 0.1),
+    lambda: renyi_entropy(ModelKind.KME, (1e300,), 2.0),
+], ids=["renyi-pgduse", "renyi-gduse", "mgf-near-the-rate", "cf-at-0", "mgf-small-shape",
+        "renyi-kme-huge-rate"])
+def test_oracles_refuse_an_unconverged_integral(call):
+    # each leaves an interval open that holds more than an ulp of the value
+    with pytest.raises(QuadFailure):
+        call()
 
 
 def test_quadpack_gate_refuses_a_flagged_result(monkeypatch):

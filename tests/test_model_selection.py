@@ -118,7 +118,8 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
 
 # the first call of every function that imports scipy where it runs:
 # brentq (both GDUSE sites), kolmogorov, kstwo, betainc, gammaln and zeta
-# (157 Poisson means at z >= 40, then the tail closure), tanhsinh and quad
+# (157 Poisson means at z >= 40, then the tail closure) and quad; the
+# tanh-sinh oracle imports none
 _LAZY_CALLS = """
 import pgduse
 from pgduse import ModelKind
@@ -145,6 +146,22 @@ def test_every_lazy_scipy_import_works_in_a_cold_interpreter():
     warm = {}
     exec(_LAZY_CALLS, warm)
     assert cold.strip() == repr(warm["values"])
+
+
+def test_only_the_cf_oracle_loads_scipy_integrate():
+    # the tanh-sinh rule is numpy; QUADPACK, for the cf at t != 0, is scipy's
+    code = (
+        "import sys, pgduse\n"
+        "from pgduse import ModelKind\n"
+        "pgduse.raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.5), 2)\n"
+        "pgduse.mgf_quadrature((1.0, 2.5), 0.3)\n"
+        "pgduse.renyi_entropy(ModelKind.KME, (1.0,), 2.0)\n"
+        "pgduse.cf_quadrature((1.0, 2.5), 0.0)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "pgduse.cf_quadrature((1.0, 2.5), 0.7)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    assert _fresh_python(code).split() == ["False", "True"]
 
 
 def test_ks_pvalue_asymptotic_series_terms():
