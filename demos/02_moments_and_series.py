@@ -1,8 +1,10 @@
 """Series analytics against their quadrature oracles.
 
-Every analytic quantity of the two-parameter model ships as a binomial
-series expansion plus an independent adaptive-quadrature route; this
-script prints them side by side so the agreement is visible.
+Every analytic quantity of the two-parameter model ships as a series
+expansion plus an independent adaptive-quadrature route; this script
+prints them side by side so the agreement is visible.  The series is the
+paper's binomial double series, summed as one power series in
+u = 1 - exp(-lam*x) whose terms do not cancel.
 """
 
 from pgduse import (
@@ -56,9 +58,11 @@ for delta in (0.5, 2.0, 3.0):
     s = renyi_entropy_series(p, delta, opts)
     print(f"  delta={delta:3.1f}:  quadrature={q:.10f}   series={s:.10f}")
 
-print("\nthe non-integer theta = 0.5 tail converges slowly; the series driver")
-print("closes it with a fitted power law, still matching quadrature:")
-weak = PgduseParams(1.0, 0.5)
-s = raw_moment_series(weak, 1, opts)
-q = raw_moment_quadrature(ModelKind.PGDUSE, weak, 1)
-print(f"  E[X] at theta=0.5:  series={s:.12f}  quadrature={q:.12f}  rel gap={abs(s - q) / q:.2e}")
+print("\nat theta = 50 the alternating binomial series loses every digit;")
+print("the u-series keeps them, at a non-integer theta = 0.5 too:")
+for theta in (0.5, 50.0):
+    shape = PgduseParams(1.0, theta)
+    s = raw_moment_series(shape, 2, opts)
+    q = raw_moment_quadrature(ModelKind.PGDUSE, shape, 2)
+    print(f"  E[X**2] at theta={theta:4}:  series={s:.12f}  quadrature={q:.12f}  "
+          f"rel gap={abs(s - q) / q:.2e}")

@@ -33,13 +33,13 @@ from pgduse import (
     skewness,
     variance,
 )
-from pgduse.analytic import _poisson_means, _power_mean, _reciprocal_mean
+from pgduse.analytic import _log_beta, _u_series
 
 from conftest import GRID_LAMBDAS, GRID_THETAS
 
 E = math.e
 
-# wide enough for the slow non-integer-theta tails; tail closure does the rest
+# a budget that no shape of the test grids reaches
 ACC = SeriesOptions(max_terms=400)
 
 
@@ -62,100 +62,164 @@ def two_sum_mgf_theta2(lam, t, m_terms=60):
 
 
 # ----------------------------------------------------------------------
-# Poisson means at negative argument
+# the u-series and its Beta functions against mpmath
 # ----------------------------------------------------------------------
 
-NEG_Z = np.linspace(-12.5, -0.1, 25)
+def _mp_p_ratio(theta, u):
+    """P(u) / P(1), P(u) = ((e**u - 1)/u)**(theta - 1) e**u, at 40 digits."""
+    with mpmath.workdps(40):
+        theta, u = mpmath.mpf(theta), mpmath.mpmathify(u)
+        em1 = mpmath.e - 1
+        return complex(((mpmath.expm1(u) / u / em1) ** (theta - 1) * mpmath.exp(u - 1)))
 
 
-def alternating_poisson_mean(h, z):
-    """sum_m exp(-z) z**m / m! h(m) at 50 digits past its cancellation."""
-    with mpmath.workdps(50 + int(2.5 * abs(z))):
-        zz = mpmath.mpf(z)
-        weight = mpmath.exp(-zz)
-        total = weight * h(0)
-        m = 0
-        while True:
-            weight *= zz / (m + 1)
-            m += 1
-            term = weight * h(m)
-            total += term
-            if m > abs(z) + 10 and abs(term) < mpmath.mpf("1e-60") * abs(total):
-                return complex(total) if isinstance(total, mpmath.mpc) else float(total)
+@pytest.mark.parametrize("theta", (1e-300, 0.05, 0.5, 1.0, 2.5, 20.0, 200.0))
+def test_u_series_coefficients_sum_to_the_closed_form(theta):
+    # weights u**n turn the sum into P(u)/P(1) itself, a closed form, at
+    # real points and on the unit circle, where every coefficient counts
+    # with its phase.  There the terms may cancel (to 3.5e-9 at theta = 20,
+    # u = exp(2.5i)), so the error is relative to P(|u|)/P(1), the sum of
+    # their moduli where no coefficient is negative.  The Poisson weights
+    # of exp(a*u) hold about a ulps where a small u makes the first ones count
+    a = (theta + 1) / 2
+    opts = SeriesOptions(max_terms=600)
+    for u in (0.25, 0.5, 1.0, cmath.exp(1j), cmath.exp(2.5j), -1.0):
+        got = _u_series(a, theta - 1, lambda count: u ** np.arange(count), opts)
+        want = _mp_p_ratio(theta, u)
+        scale = max(abs(want), abs(_mp_p_ratio(theta, abs(u))))
+        assert abs(got - want) <= 1e-14 * max(1.0, a / 20) * scale
 
 
-# one rounding of an exact value: within half an ulp, so 1.2e-16 relative
-ONE_ROUNDING = 1.2e-16
+@pytest.mark.parametrize("p, q", [
+    (3.5, 0.7), (0.7, 3.5), (1e-300, 2.0), (2.0, 1e-12), (1001.0, 1001.0), (3.5, 1e300),
+    (201.0, 1.0 - 0.3j), (3.5, 1.0 - 60j), (1.05, 1.0 - 1e6j), (1.0, 1.0 + 1e-250j), (1.5, 1e3 + 1e3j),
+], ids=str)
+def test_log_beta_matches_mpmath(p, q):
+    # log B(p, q) = log Gamma(small) - [log Gamma(p + q) - log Gamma(large)],
+    # up to a multiple of 2 pi i, within a few ulps of those two parts;
+    # log Gamma(p + q) alone is 6.9e302 at (3.5, 1e300), where the part in
+    # brackets is 2418
+    with mpmath.workdps(40 + max(0, int(math.log10(max(abs(p), abs(q)))))):
+        mp, mq = mpmath.mpmathify(p), mpmath.mpmathify(q)
+        small, large = sorted((mp, mq), key=abs)
+        parts = (mpmath.loggamma(small), mpmath.loggamma(mp + mq) - mpmath.loggamma(large))
+        want = parts[0] - parts[1]
+        got = _log_beta(p, q)
+        gap = complex(mpmath.mpmathify(got) - want)
+    assert isinstance(got, complex) == isinstance(q, complex)
+    winding = round(gap.imag / (2 * math.pi))
+    assert abs(gap - 2j * math.pi * winding) <= 8e-16 * max(1.0, *(abs(complex(x)) for x in parts))
 
 
-# (shift, tau, scale) of h(m) = 1/(scale*(m + shift) - tau): Renyi entropy
-# (c = shift), the mgf (real tau) and the cf (imaginary tau).  The means
-# take h in units of 1/scale: h is 1/scale times 1/(m + shift - tau/scale),
-# and for the scales 0.5 and 2 both factors are exact (tau/scale is -1.8
-# and 1.2j)
-@pytest.mark.parametrize("shift, tau, scale", [
-    (0.5, 0.0, 1.0), (0.7, 0.0, 1.0), (1.5, 0.0, 1.0), (3.0, 0.0, 1.0),
-    (1.0, 0.3, 1.0), (1.0, -0.9, 0.5), (1.0, 0.7j, 1.0), (1.0, 30j, 1.0), (1.0, 2.4j, 2.0),
-])
-def test_reciprocal_mean_matches_the_alternating_sum(shift, tau, scale):
-    tau_mp = mpmath.mpc(tau) if isinstance(tau, complex) else mpmath.mpf(tau)
-    scale_mp, shift_mp = mpmath.mpf(scale), mpmath.mpf(shift)
-    for z in NEG_Z:
-        want = alternating_poisson_mean(lambda m: 1 / (scale_mp * (m + shift_mp) - tau_mp), z)
-        got = _reciprocal_mean(-z, shift, tau / scale) / scale
-        assert isinstance(got, complex) == isinstance(tau, complex)
-        assert abs(got - want) <= ONE_ROUNDING * abs(want)
+def _mp_expectation(g, lam, theta, power=1):
+    """E[g(X)] at 30 digits by the substitution w = F(u), so X is a function
+    of w on (0, 1): u = log(1 + (e-1) w**(1/theta)) and X = -log(1-u)/lam.
+    Below w = 1/2, w = s**power tames an algebraic singularity at 0; above
+    it, 1 - u comes from v = 1 - w = exp(-y) without cancelling, and the
+    factor exp(-y) makes the integrand decay."""
+    with mpmath.workdps(40):
+        lam, theta, e = mpmath.mpf(lam), mpmath.mpf(theta), mpmath.e
+
+        def low(s):
+            u = mpmath.log1p((e - 1) * s ** (power / theta))
+            return g(-mpmath.log1p(-u) / lam) * power * s ** (power - 1)
+
+        def high(y):
+            v = mpmath.exp(-y)
+            one_minus_u = -mpmath.log1p((e - 1) * mpmath.expm1(mpmath.log1p(-v) / theta) / e)
+            return g(-mpmath.log(one_minus_u) / lam) * v
+
+        cuts = [mpmath.mpf(0)] + [mpmath.mpf(10) ** -k for k in range(40, 0, -2)]
+        low_part = mpmath.quad(low, cuts + [mpmath.mpf(2) ** (-1 / mpmath.mpf(power))])
+        return low_part + mpmath.quad(high, [mpmath.log(2), 2, 5, 10, 20, 40, 80, mpmath.inf])
 
 
-@pytest.mark.parametrize("r", (1, 2, 3, 4, 7))
-def test_power_mean_matches_the_alternating_sum(r):
-    for z in NEG_Z:
-        want = alternating_poisson_mean(lambda m: mpmath.mpf(m + 1) ** -(r + 1), z)
-        assert abs(_power_mean(r + 1, -z) - want) <= ONE_ROUNDING * want
+def _mp_renyi(lam, theta, delta):
+    """The Renyi entropy as log(E[pdf(X)**(delta-1)]) / (1 - delta), at 30 digits."""
+    lam_, theta_ = mpmath.mpf(lam), mpmath.mpf(theta)
+
+    def g(x):
+        u = -mpmath.expm1(-lam_ * x)
+        log_pdf = (mpmath.log(theta_ * lam_) + (theta_ - 1) * mpmath.log(mpmath.expm1(u)) + u
+                   - theta_ * mpmath.log(mpmath.e - 1) - lam_ * x)
+        return mpmath.exp((delta - 1) * log_pdf)
+
+    # near 0, pdf**(delta-1) dw grows like w**(q - 1), q = 1 + (delta-1)(theta-1)/theta
+    q = 1 + (delta - 1) * (theta_ - 1) / theta_
+    with mpmath.workdps(40):
+        return mpmath.log(_mp_expectation(g, lam, theta, max(1, 1 / q))) / (1 - delta)
 
 
-# ----------------------------------------------------------------------
-# Poisson means at nonnegative argument, one weight matrix per run
-# ----------------------------------------------------------------------
-
-# z = 0, where log z is -inf, small and moderate means, the largest that a
-# 400-term series reaches, and past it to where exp(-z) alone underflows
-# (z > 745), which the log weights must survive
-POS_Z = np.array([0.0, 1e-3, 0.5, 5.0, 39.5, 40.0, 40.5, 120.0, 199.5, 399.0, 700.0, 999.5])
-
-
-def _reciprocal_case(scale, tau):
-    return (lambda m: 1.0 / (scale * (m + 1.0) - tau),
-            lambda m: 1 / (mpmath.mpf(scale) * (m + 1) - mpmath.mpmathify(tau)))
-
-
-# h(m) of the moments, the mgf (real t), the cf (imaginary t) and the Renyi
-# series, as a float h on arrays and an mpmath h
-MEAN_CASES = {
-    **{f"moment-{r}": (lambda m, r=r: (m + 1.0) ** -(r + 1.0),
-                       lambda m, r=r: mpmath.mpf(m + 1) ** -(r + 1)) for r in (1, 2, 3, 4)},
-    "mgf-0.5-0.3": _reciprocal_case(0.5, 0.3),
-    "mgf-2--3": _reciprocal_case(2.0, -3.0),
-    "cf-1-0.7": _reciprocal_case(1.0, 0.7j),
-    "cf-0.5-30": _reciprocal_case(0.5, 30j),
-    **{f"renyi-{d}": (lambda m, d=d: 1.0 / (m + d),
-                      lambda m, d=d: 1 / (m + mpmath.mpf(d))) for d in (0.3, 1.98, 4.75)},
+# the values the binomial series got wrong: a mean off by 1e17, negative
+# second moments and variances, an mgf off by 35%, a cf off by 1.3e-2 and a
+# Renyi entropy where the oracle refuses
+REFERENCES = {
+    "mean-100": (lambda: mean((1.0, 100.0), ACC), lambda: _mp_expectation(lambda x: x, 1, 100)),
+    "variance-50": (lambda: variance((1.0, 50.0)),
+                    lambda: _mp_expectation(lambda x: x * x, 1, 50)
+                    - _mp_expectation(lambda x: x, 1, 50) ** 2),
+    "moment2-50": (lambda: raw_moment_series((1.0, 50.0), 2),
+                   lambda: _mp_expectation(lambda x: x * x, 1, 50)),
+    "mgf-50": (lambda: mgf((1.0, 50.0), 0.3), lambda: _mp_expectation(lambda x: mpmath.exp(0.3 * x), 1, 50)),
+    "cf-50": (lambda: cf((1.0, 50.0), 0.3), lambda: _mp_expectation(lambda x: mpmath.expj(0.3 * x), 1, 50)),
+    "mgf-far-left": (lambda: mgf((1.0, 2.5), -1e3),
+                     lambda: _mp_expectation(lambda x: mpmath.exp(-1000 * x), 1, 2.5)),
+    "cf-small-shape": (lambda: cf((0.5, 0.2), 30.0),
+                       lambda: _mp_expectation(lambda x: mpmath.expj(30 * x), 0.5, 0.2)),
+    "renyi-edge": (lambda: renyi_entropy_series((1.0, 0.5), 1.98), lambda: _mp_renyi(1, 0.5, 1.98)),
 }
 
 
-@pytest.mark.parametrize("case", MEAN_CASES)
-def test_poisson_means_match_mpmath(case):
-    from scipy.special import gammaln
-    h, h_mp = MEAN_CASES[case]
-    want = np.array([alternating_poisson_mean(h_mp, z) for z in POS_Z])
-    # one matrix for all of them, and one each, whose window starts past 0
-    # at the largest z
-    together = _poisson_means(h, POS_Z, gammaln)
-    alone = np.array([_poisson_means(h, POS_Z[i:i + 1], gammaln)[0] for i in range(POS_Z.size)])
-    bound = 1e-14 * np.abs(want)
-    for got in (together, alone):
-        assert np.iscomplexobj(got) == np.iscomplexobj(want)
-        assert np.all(np.abs(got - want) <= bound)
+@pytest.mark.parametrize("case", REFERENCES)
+def test_series_match_30_digit_references(case):
+    series, reference = REFERENCES[case]
+    got, want = series(), complex(reference())
+    assert type(got) is (complex if case.startswith("cf") else float)
+    # the variance is the second moment less the squared mean, 16 times larger
+    assert abs(got - want) <= (16 if case == "variance-50" else 1) * 1e-13 * abs(want)
+
+
+def _mp_mgf_from_survival(t, theta):
+    """E[exp(t X)] at unit rate = 1 + t * integral of exp(t x) (1 - F(x)), at
+    30 digits.  At a tiny shape F is near 1 everywhere, and
+    1 - F = -expm1(theta log G) keeps its digits; log G is taken from
+    1 - u = exp(-x) past x = 1, where G is near 1."""
+    with mpmath.workdps(40):
+        t, theta, e = mpmath.mpf(t), mpmath.mpf(theta), mpmath.e
+
+        def survival(x):
+            if x < 1:
+                log_g = mpmath.log(mpmath.expm1(-mpmath.expm1(-x)) / (e - 1))
+            else:
+                log_g = mpmath.log1p(e * mpmath.expm1(-mpmath.exp(-x)) / (e - 1))
+            return -mpmath.expm1(theta * log_g)
+
+        cuts = [0] + [mpmath.mpf(10) ** -k for k in range(30, 0, -3)] + [1, 4, 16, 64, mpmath.inf]
+        return 1 + t * mpmath.quad(lambda x: mpmath.exp(t * x) * survival(x), cuts)
+
+
+@pytest.mark.parametrize("theta", (1e-300, 1e-10, 0.05))
+def test_mgf_at_a_tiny_shape(theta):
+    # nearly all the mass sits at 0, and the mgf is finite, near 1
+    for t in (-2.0, 0.9):
+        want = _mp_mgf_from_survival(t, theta)
+        assert mgf((1.0, theta), t) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("theta", (1e-10, 1e-3, 0.05))
+def test_moments_at_a_small_shape(theta):
+    # kappa_k(theta) is a difference that cancels as theta -> 0; below
+    # k*theta = 1e-2 it comes from its Taylor series instead
+    for r in (1, 2):
+        want = _mp_expectation(lambda x: x ** r, 1, theta)
+        assert raw_moment_series((1.0, theta), r) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_moments_vanish_in_proportion_to_a_tiny_shape():
+    # E[X**r] / theta tends to a constant as theta -> 0
+    for r in (1, 2, 4):
+        limit = raw_moment_series((1.0, 1e-20), r) / 1e-20
+        assert raw_moment_series((1.0, 1e-300), r) / 1e-300 == pytest.approx(limit, rel=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -258,33 +322,84 @@ def test_series_divergence_when_budget_too_small():
 
 
 def test_series_means_come_in_runs_within_the_budget(monkeypatch):
+    # a sum asks for its weights in runs: a first window of
+    # a + 18 sqrt(a) + 22 terms, a the peak of the series, cut at the budget
     sizes = []
-    batched = pgduse.analytic._poisson_means
+    u_series = pgduse.analytic._u_series
 
-    def spy(h_vec, z, gammaln):
-        sizes.append(z.size)
-        return batched(h_vec, z, gammaln)
+    def spy(a, b, weights, opts):
+        def counted(count):
+            sizes.append(count)
+            return weights(count)
+        return u_series(a, b, counted, opts)
 
-    monkeypatch.setattr(pgduse.analytic, "_poisson_means", spy)
-    # at integer theta every mean the sum needs has k < shift, and the sum
-    # ends exactly: a larger budget computes nothing more
-    for theta in (1.0, 2.0, 5.0):
+    monkeypatch.setattr(pgduse.analytic, "_u_series", spy)
+    # a = (theta + 1)/2: one window each, and a larger budget computes nothing more
+    for theta, window in ((1.0, 41), (2.0, 45), (2.5, 47), (5.0, 56)):
         p = PgduseParams(1.0, theta)
         assert raw_moment_series(p, 2) == raw_moment_series(p, 2, SeriesOptions(max_terms=1000))
-    assert sizes == []
-    # k = 1..11 at shift 0.5: a run of 8, then the 3 the budget leaves
+        assert sizes == [window, window]
+        sizes.clear()
+    # the window of theta = 0.5 (38) cut to a budget of 12, which it does not reach
     with pytest.raises(SeriesDivergence):
         raw_moment_series(PgduseParams(1.0, 0.5), 1, SeriesOptions(max_terms=12))
-    assert sizes == [8, 3]
+    assert sizes == [12]
     sizes.clear()
-    # k = 3..199 at shift 2.5, closed by the tail fit
-    raw_moment_series(PgduseParams(1.0, 2.5), 1)
-    assert sizes == [8, 16, 32, 64, 64, 13]
+    # at theta = 150 (a = 75.5) the window of 253 is cut to the default 200
+    raw_moment_series(PgduseParams(1.0, 150.0), 1)
+    assert sizes == [200]
+    sizes.clear()
+    # the Renyi series peaks at a = delta (theta + 1)/2 = 87.5
+    renyi_entropy_series(PgduseParams(1.0, 2.5), 50.0, SeriesOptions(max_terms=1000))
+    assert sizes == [277]
+
+
+def test_a_budget_the_sum_does_not_reach_moves_no_value():
+    # the sum stops where its terms certify it: every budget that covers
+    # the stopping term gives the same value, bit for bit, and every
+    # smaller one raises
+    for call in (lambda o: raw_moment_series((1.0, 0.5), 1, o), lambda o: mgf((1.0, 2.5), 0.3, o),
+                 lambda o: cf((0.5, 5.0), 3.0, o), lambda o: renyi_entropy_series((1.0, 2.5), 0.5, o)):
+        full = call(SeriesOptions(max_terms=1000))
+        outcomes = []
+        for budget in range(1, 60):
+            try:
+                outcomes.append(call(SeriesOptions(max_terms=budget)))
+            except SeriesDivergence:
+                outcomes.append(None)
+        first = outcomes.index(full)
+        assert outcomes[:first] == [None] * first
+        assert outcomes[first:] == [full] * (len(outcomes) - first)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: raw_moment_series((1.0, 2.5), 171), DomainError),
+    (lambda: mean((1.0, 200.0)), SeriesDivergence),
+    (lambda: mean((1.0, 1500.0)), SeriesDivergence),
+    (lambda: mgf((1.0, 1500.0), 0.3), SeriesDivergence),
+    (lambda: renyi_entropy_series((1.0, 1500.0), 2.0), SeriesDivergence),
+    (lambda: renyi_entropy_series((1.0, 2.5), 1e300), SeriesDivergence),
+], ids=["moment-171", "mean-200", "mean-1500", "mgf-1500", "renyi-1500", "renyi-order-1e300"])
+def test_out_of_reach_series_raise_a_pgduse_error(call, error):
+    # E[X**171] overflows a double at unit rate; the others peak past the
+    # default budget of 200 terms
+    with pytest.raises(error):
+        call()
+
+
+def test_large_orders_and_shapes_within_reach():
+    # the same quantities where they fit a double and the budget: r! and
+    # lam**-r meet in log space, and a large shape only needs more terms
+    want = _mp_expectation(lambda x: x ** 171, 10, 2.5)
+    assert raw_moment_series((10.0, 2.5), 171) == pytest.approx(float(want), rel=1e-13)
+    opts = SeriesOptions(max_terms=2000)
+    want = _mp_expectation(lambda x: x, 1, 1500)
+    assert mean((1.0, 1500.0), opts) == pytest.approx(float(want), rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", (1.0, 2.0, 2.5))
 def test_series_routes_return_python_numbers(theta):
-    # 2.5 closes its tail with numpy; the others end on decimal means
+    # every sum is a numpy reduction, converted once
     p = PgduseParams(1.0, theta)
     for value in (raw_moment_series(p, 2), mgf(p, 0.3), mean(p), variance(p), skewness(p),
                   kurtosis(p), central_moment(p, 3), renyi_entropy_series(p, 2.0)):
@@ -635,6 +750,19 @@ def test_summaries_sum_each_raw_moment_once(monkeypatch, summary, series):
     monkeypatch.setattr(pgduse.analytic, "raw_moment_series", counting)
     summary(PgduseParams(1.0, 2.5), ACC)
     assert orders == list(range(1, series + 1))
+
+
+def test_skewness_and_kurtosis_are_floats_or_raise(monkeypatch):
+    # at theta = 50 the binomial series gave a negative variance and a
+    # complex skewness; a variance that does not come out positive raises
+    p = PgduseParams(1.0, 50.0)
+    for summary in (skewness, kurtosis):
+        assert type(summary(p)) is float
+    moments = {1: 2.0, 2: 3.0, 3: 9.0, 4: 30.0}          # variance 3 - 2**2 = -1
+    monkeypatch.setattr(pgduse.analytic, "raw_moment_series", lambda p, r, opts: moments[r])
+    for summary in (variance, skewness, kurtosis):
+        with pytest.raises(SeriesDivergence):
+            summary(p)
 
 
 def test_skewness_kurtosis_against_sample():

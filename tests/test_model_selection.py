@@ -110,16 +110,16 @@ _SCIPY_LOADED = "[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.
 def test_importing_the_package_leaves_scipy_stats_unloaded():
     # scipy takes most of a second to import, so each call that needs a
     # scipy module imports it, and the package and its CLI load none.
-    # mpmath is a test dependency only
+    # mpmath is a test dependency only, and no series sums in decimal
     code = ("import sys, pgduse, pgduse.cli; "
-            f"print('scipy.stats' in sys.modules, 'mpmath' in sys.modules, {_SCIPY_LOADED})")
-    assert _fresh_python(code).strip() == "False False []"
+            f"print('scipy.stats' in sys.modules, 'mpmath' in sys.modules, "
+            f"'decimal' in sys.modules, {_SCIPY_LOADED})")
+    assert _fresh_python(code).strip() == "False False False []"
 
 
 # the first call of every function that imports scipy where it runs:
-# brentq (both GDUSE sites), kolmogorov, kstwo, betainc, gammaln and zeta
-# (157 Poisson means at z >= 40, then the tail closure) and quad; the
-# tanh-sinh oracle imports none
+# brentq (both GDUSE sites), kolmogorov, kstwo, betainc, the moment
+# series' binom, digamma and zeta, and quad; the tanh-sinh oracle imports none
 _LAZY_CALLS = """
 import pgduse
 from pgduse import ModelKind
