@@ -58,6 +58,10 @@ for delta in (0.5, 2.0, 3.0):
     s = renyi_entropy_series(p, delta, opts)
     print(f"  delta={delta:3.1f}:  quadrature={q:.10f}   series={s:.10f}")
 
+tiny = PgduseParams(1e-250, 2.0)
+print(f"\nRenyi entropy at lam = 1e-250, delta = 2:  series={renyi_entropy_series(tiny, 2.0):.10f}"
+      f"   quadrature={renyi_entropy(ModelKind.PGDUSE, tiny, 2.0):.10f}")
+
 print("\nat theta = 50 the alternating binomial series loses every digit;")
 print("the u-series keeps them, at a non-integer theta = 0.5 too:")
 for theta in (0.5, 50.0):

@@ -1,24 +1,27 @@
 """Moments, generating functions, and entropy for the two-parameter model.
 
-Each analytic quantity comes in two independent routes:
+Every model's rate is a pure scale: X = Y/rate, with Y at rate 1.  Every
+route works on Y and rescales once (the mgf and cf at s = t/rate, a raw
+moment by rate**-r, the Renyi entropy by -log(rate)), so it serves every
+rate the double range holds.  Each quantity comes in two independent routes:
 
 * a series route that integrates a power series of the density in
-  u = 1 - exp(-lam*x) term by term, and
+  u = 1 - exp(-y) term by term, and
 * a quadrature route that integrates the density directly: one
   tanh-sinh integral of a log-space integrand over the half-line, by
   scipy's ``tanhsinh`` rule written here in numpy, its nodes passed to
   ``log_pdf`` as one array per level, or for the cf QUADPACK's Fourier
   weights, one float per distinct node, straight to the density kernel.
 
-The series route.  With u = 1 - exp(-lam*x) the cdf is
+The series route.  With u = 1 - exp(-y) the cdf is
 ((e**u - 1)/(e - 1))**theta, and its density in u is
 theta/(e-1)**theta * u**(theta-1) * P(u), P(u) = ((e**u - 1)/u)**(theta-1) e**u.
 P has no singularity in |u| < 2 pi, so its Taylor coefficients c_n fall
 geometrically on [0, 1], and against u**(theta-1) each power of u
 integrates to a Beta function (DLMF 5.12.1):
 
-* mgf / cf:       E[exp(tau X)] = theta/(e-1)**theta sum_n c_n B(theta+n, 1-tau/lam)
-* raw moments:    E[X**r] = lam**-r theta/(e-1)**theta sum_n c_n I_r(theta+n),
+* mgf / cf:       E[exp(s Y)] = theta/(e-1)**theta sum_n c_n B(theta+n, 1-s)
+* raw moments:    E[Y**r] = theta/(e-1)**theta sum_n c_n I_r(theta+n),
                   I_r(a) = integral of u**(a-1) (-log(1-u))**r = Y_r(kappa)/a
 * Renyi entropy:  the coefficients of P**delta against B(delta(theta-1)+1+n, delta)
 
@@ -245,12 +248,35 @@ def _log_beta(p, q):
 # quadrature plumbing
 # ----------------------------------------------------------------------
 
-def _validated(kind: ModelKind, p):
-    """``p`` checked once: its floats, and the typed vector that ``pdf``,
-    ``log_pdf`` and ``quantile`` accept at every quadrature node without
-    checking it again."""
-    params = _coerce(kind, p)
-    return params, _MODELS[kind].param_class(*params)
+def _at_unit_rate(kind: ModelKind, p):
+    """``p`` checked once: its rate, and the typed vector of Y (rate 1) that
+    ``pdf``, ``log_pdf`` and ``quantile`` accept at every node unchecked."""
+    params = list(_coerce(kind, p))
+    model = _MODELS[kind]
+    rate, params[model.rate_index] = params[model.rate_index], 1.0
+    return rate, model.param_class(*params)
+
+
+def _over_rate(t, rate: float, below: float = math.inf) -> float:
+    """s = t/rate, the mgf or cf argument of Y: finite and below ``below``."""
+    try:
+        s = float(t) / rate
+    except (TypeError, ValueError):
+        raise DomainError(f"t must be a real number, got {t!r}") from None
+    if not -math.inf < s < below:
+        raise DomainError(f"t/lambda must be finite and < {below:g}, got t={t!r}, lambda={rate!r}")
+    return s
+
+
+def _moment_at(rate: float, r: int, fraction: float, scale: int) -> float:
+    """E[X**r] = fraction * 2**scale * rate**-r, with frexp's exact power of
+    two of the rate in ldexp: the moment underflows to 0.0 or a subnormal,
+    and raises :class:`DomainError` where it overflows."""
+    mantissa, exponent = math.frexp(rate)
+    try:
+        return math.ldexp(fraction * mantissa ** -r, scale - r * exponent)
+    except OverflowError:
+        raise DomainError(f"E[X**{r}] overflows a double at lambda = {rate!r}") from None
 
 
 # the cuts of ``_integral``: the quantiles at 0, 2**-k and 1 - 2**-k,
@@ -451,8 +477,8 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
 
     E[X**r] = lam**-r r! e/(e-1) sum_n c_n theta y_r(theta + n) / (theta + n),
     with c_n the coefficients of P(u)/P(1) and y_r = Y_r / r!.  The sum does
-    not depend on lam: r! and lam**-r are applied in base-2 log space, so
-    the moment underflows to 0.0 or a subnormal.
+    not depend on lam: r! and lam**-r are applied in base-2 log space
+    (:func:`_moment_at`), so the moment underflows to 0.0 or a subnormal.
 
     Raises
     ------
@@ -464,28 +490,22 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     r = _count("moment order", r, 1)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
     series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _moment_weights(theta, r), opts)
-    # r! = factorial / 2**bits * 2**bits, the fraction rounded once; frexp
-    # splits the rest and lam into fractions and exact powers of two, so
-    # only ldexp can overflow or underflow
+    # r! = factorial / 2**bits * 2**bits, the fraction rounded once
     factorial = math.factorial(r)
     bits = factorial.bit_length()
     fraction, scale = math.frexp(math.e / _EM1 * series)
-    mantissa, exponent = math.frexp(lam)
-    try:
-        return math.ldexp(fraction * (factorial / (1 << bits)) * mantissa ** -r,
-                          scale + bits - r * exponent)
-    except OverflowError:
-        raise DomainError(f"E[X**{r}] overflows a double at lambda = {lam!r}") from None
+    return _moment_at(lam, r, fraction * (factorial / (1 << bits)), scale + bits)
 
 
 def raw_moment_quadrature(kind: ModelKind, p, r: int) -> float:
-    """r-th raw moment: the integral of exp(r*log(x) + log_pdf(x)).
+    """r-th raw moment: rate**-r times the integral of exp(r*log(y) + log_pdf(y)).
 
     The independent oracle for :func:`raw_moment_series`.
     """
     r = _count("moment order", r, 1)
-    _, typed = _validated(kind, p)
-    return _integral(kind, typed, lambda x: r * np.log(x) + log_pdf(kind, typed, x))
+    rate, unit = _at_unit_rate(kind, p)
+    value = _integral(kind, unit, lambda y: r * np.log(y) + log_pdf(kind, unit, y))
+    return _moment_at(rate, r, *math.frexp(value))
 
 
 # ----------------------------------------------------------------------
@@ -501,19 +521,11 @@ def _beta_ratios(first: float, step) -> Callable:
     return weights
 
 
-def _generating_series(lam: float, theta: float, tau, opts: SeriesOptions):
-    """E[exp(tau X)] by the u-series, for real tau < lam or imaginary tau.
-
-    With s = tau/lam it is e/(e-1) * theta B(theta, 1-s) * sum_n c_n w_n,
-    w_n = B(theta+n, 1-s) / B(theta, 1-s).  It depends on lam and tau only
-    through s, as it does for a scale family.
+def _generating_series(theta: float, s, opts: SeriesOptions):
+    """E[exp(s Y)], Y at unit rate, for s = t/lam from :func:`_over_rate`:
+    e/(e-1) * theta B(theta, 1-s) * sum_n c_n w_n, w_n = B(theta+n, 1-s) / B(theta, 1-s).
     """
-    s = tau / lam
-    if not cmath.isfinite(s):
-        raise DomainError(f"t/lambda must be finite, got |t| = {abs(tau)!r}, lambda = {lam!r}")
     c = 1.0 - s
-    if not c.real > 0.0:
-        raise DomainError(f"t/lambda must be below 1, got {s!r}")
     log, exp = (cmath.log, cmath.exp) if isinstance(c, complex) else (math.log, math.exp)
     # theta B(theta, c) = Gamma(theta+1) Gamma(c) / Gamma(theta+c) = (theta + c) B(theta+1, c)
     log_ratio = log(theta + c) + _log_beta(theta + 1.0, c)
@@ -524,65 +536,53 @@ def _generating_series(lam: float, theta: float, tau, opts: SeriesOptions):
         raise DomainError(f"E[exp(t X)] overflows a double at t/lambda = {s!r}") from None
 
 
-def _argument(t, below: float = math.inf) -> float:
-    """``t`` as a float, which must be finite and below ``below``."""
-    try:
-        t = float(t)
-    except (TypeError, ValueError):
-        raise DomainError(f"t must be a real number, got {t!r}") from None
-    if not -math.inf < t < below:
-        bound = "" if below == math.inf else f" and < lambda ({below:g})"
-        raise DomainError(f"t must be finite{bound}, got t={t!r}")
-    return t
-
-
 def mgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> float:
     """Moment generating function E[exp(t X)]; finite only for t < lam."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    return _generating_series(lam, theta, _argument(t, lam), opts)
+    return _generating_series(theta, _over_rate(t, lam, 1.0), opts)
 
 
 def mgf_quadrature(p: PgduseParams, t: float) -> float:
-    """Quadrature oracle for :func:`mgf`: the integral of exp(t*x + log_pdf(x))."""
-    (lam, _), typed = _validated(ModelKind.PGDUSE, p)
-    t = _argument(t, lam)
-    return _integral(ModelKind.PGDUSE, typed,
-                     lambda x: t * x + log_pdf(ModelKind.PGDUSE, typed, x))
+    """Quadrature oracle for :func:`mgf`: the integral of exp(s*y + log_pdf(y)), s = t/lam."""
+    rate, unit = _at_unit_rate(ModelKind.PGDUSE, p)
+    s = _over_rate(t, rate, 1.0)
+    return _integral(ModelKind.PGDUSE, unit,
+                     lambda y: s * y + log_pdf(ModelKind.PGDUSE, unit, y))
 
 
 def cf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> complex:
     """Characteristic function E[exp(i t X)]; the mgf series at i*t."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    return complex(_generating_series(lam, theta, 1j * _argument(t), opts))
+    return complex(_generating_series(theta, 1j * _over_rate(t, lam), opts))
 
 
 def cf_quadrature(p: PgduseParams, t: float) -> complex:
-    """Oscillatory-quadrature oracle for :func:`cf`.
+    """Oscillatory-quadrature oracle for :func:`cf`: E[exp(i s Y)], s = t/lam.
 
-    At t = 0 it is the integral of the density.  Otherwise, since
-    tanh-sinh cannot certify a Fourier integral at large |t|/lambda, it
-    uses the QUADPACK cosine/sine weights on the bulk of the support; an
-    initial plain slice absorbs the density singularity at 0 (theta < 1).
-    A piece that QUADPACK flags raises :class:`QuadFailure`.  The cos and
-    sin passes over each piece place most nodes at the same x, so the
-    density is cached for the duration of one call: each distinct node
-    costs one ``pdf`` call, and the values are those of one call per node.
+    At s = 0 it is the integral of the density.  Otherwise, since
+    tanh-sinh cannot certify a Fourier integral at large |s|, it uses the
+    QUADPACK cosine/sine weights on the bulk of the support; an initial
+    plain slice absorbs the density singularity at 0 (theta < 1).  A piece
+    that QUADPACK flags raises :class:`QuadFailure`.  The cos and sin
+    passes over each piece place most nodes at the same y, so the density
+    is cached for the duration of one call: each distinct node costs one
+    ``pdf`` call, and the values are those of one call per node.
     """
-    (lam, _), typed = _validated(ModelKind.PGDUSE, p)
-    t = _argument(t)
-    if t == 0.0:
-        return complex(_integral(ModelKind.PGDUSE, typed,
-                                 lambda x: log_pdf(ModelKind.PGDUSE, typed, x)))
+    rate, unit = _at_unit_rate(ModelKind.PGDUSE, p)
+    s = _over_rate(t, rate)
+    if s == 0.0:
+        return complex(_integral(ModelKind.PGDUSE, unit,
+                                 lambda y: log_pdf(ModelKind.PGDUSE, unit, y)))
     # a cache that outlived the call would serve a repeated (p, t) without
     # computing it
-    density = functools.cache(lambda x: pdf(ModelKind.PGDUSE, typed, x))
+    density = functools.cache(lambda y: pdf(ModelKind.PGDUSE, unit, y))
     # the cutoff: the far quantile plus an exponential-decay margin
-    top = float(quantile(ModelKind.PGDUSE, typed, 1.0 - 1e-13)) + 45.0 / lam
-    split = min(0.05 / abs(t), top / 8.0)
-    re = _checked_quad(lambda x: math.cos(t * x) * density(x), 0.0, split)
-    im = _checked_quad(lambda x: math.sin(t * x) * density(x), 0.0, split)
-    re += _checked_quad(density, split, top, weight="cos", wvar=t)
-    im += _checked_quad(density, split, top, weight="sin", wvar=t)
+    top = float(quantile(ModelKind.PGDUSE, unit, 1.0 - 1e-13)) + 45.0
+    split = min(0.05 / abs(s), top / 8.0)
+    re = _checked_quad(lambda y: math.cos(s * y) * density(y), 0.0, split)
+    im = _checked_quad(lambda y: math.sin(s * y) * density(y), 0.0, split)
+    re += _checked_quad(density, split, top, weight="cos", wvar=s)
+    im += _checked_quad(density, split, top, weight="sin", wvar=s)
     return complex(re, im)
 
 
@@ -612,19 +612,19 @@ def _order(delta) -> float:
 def renyi_entropy(kind: ModelKind, p, delta: float) -> float:
     """Renyi entropy of order delta: log(integral of exp(delta*log_pdf)) / (1 - delta).
 
-    Quadrature is the primary definition here.  For shape parameters below
-    1 the density blows up at 0 and ``pdf**delta`` stops being integrable
-    once ``delta * (shape - 1) <= -1``; that case raises
-    :class:`QuadFailure` instead of returning a garbage number.
+    Quadrature is the primary definition here, at unit rate less log(rate).
+    For shape parameters below 1 the density blows up at 0 and
+    ``pdf**delta`` stops being integrable once ``delta * (shape - 1) <= -1``;
+    that case raises :class:`QuadFailure` instead of returning a garbage number.
     """
     delta = _order(delta)
-    params, typed = _validated(kind, p)
-    if delta * _MODELS[kind].edge_exponent(params) <= -1.0:
+    rate, unit = _at_unit_rate(kind, p)
+    if delta * _MODELS[kind].edge_exponent(unit.as_tuple()) <= -1.0:
         raise QuadFailure(
             f"pdf**{delta:g} is not integrable at 0 for {kind.value} with these parameters"
         )
-    value = _integral(kind, typed, lambda x: delta * log_pdf(kind, typed, x))
-    return math.log(value) / (1.0 - delta)
+    value = _integral(kind, unit, lambda y: delta * log_pdf(kind, unit, y))
+    return math.log(value) / (1.0 - delta) - math.log(rate)
 
 
 def renyi_entropy_series(

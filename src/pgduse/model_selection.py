@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, _count, cdf
+from .distributions import Dataset, ModelKind, _count, _split_input, _wrap_output, cdf
 from .errors import DomainError
 from .estimation import FitOptions, FitResult, fit_mle
 
@@ -50,9 +50,11 @@ class EcdfView:
     steps: np.ndarray
 
     def value_at(self, x) -> np.ndarray:
-        """ECDF evaluated at ``x`` (fraction of sample <= x)."""
-        ranks = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
-        return ranks / len(self.points)
+        """ECDF evaluated at ``x`` (fraction of sample <= x), NaN at a NaN point."""
+        x, scalar = _split_input(x)
+        values = np.searchsorted(self.points, x, side="right") / len(self.points)
+        values[np.isnan(x)] = np.nan
+        return _wrap_output(values, scalar)
 
 
 def ecdf(data: Dataset) -> EcdfView:
@@ -84,6 +86,8 @@ def ks_pvalue(d: float, n: int, method: str = "asymptotic") -> float:
     if not 0.0 <= d <= 1.0:
         raise DomainError(f"KS statistic must lie in [0, 1], got {d!r}")
     n = _count("sample size", n, 1)
+    if method not in ("exact", "asymptotic"):
+        raise DomainError(f"method must be 'exact' or 'asymptotic', got {method!r}")
     if d == 0.0:
         return 1.0
     # scipy takes most of a second to import, so every scipy import in the
@@ -91,19 +95,18 @@ def ks_pvalue(d: float, n: int, method: str = "asymptotic") -> float:
     if method == "exact":
         from scipy.stats import kstwo
         return min(max(float(kstwo.sf(d, n)), 0.0), 1.0)
-    if method == "asymptotic":
-        from scipy.special import kolmogorov
-        return min(max(float(kolmogorov(math.sqrt(n) * d)), 0.0), 1.0)
-    raise DomainError(f"method must be 'exact' or 'asymptotic', got {method!r}")
+    from scipy.special import kolmogorov
+    return min(max(float(kolmogorov(math.sqrt(n) * d)), 0.0), 1.0)
 
 
 def aic(log_likelihood: float, k: int) -> float:
     """Akaike information criterion -2 logL + 2k."""
-    return -2.0 * log_likelihood + 2.0 * k
+    return -2.0 * log_likelihood + 2.0 * _count("parameter count", k, 0)
 
 
 def bic(log_likelihood: float, k: int, n: int) -> float:
     """Bayesian information criterion -2 logL + k log n."""
+    k = _count("parameter count", k, 0)
     return -2.0 * log_likelihood + k * math.log(_count("sample size", n, 1))
 
 

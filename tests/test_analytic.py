@@ -282,6 +282,14 @@ def test_raw_moment_rejects_bad_order():
 
 # rates from the bottom to the top of the double range
 RATES = (1e-300, 1e-200, 1e-3, 1.0, 1e3, 1e200, 1e300)
+# each kind's parameters with its rate set to lam
+AT_RATE = {ModelKind.PGDUSE: lambda lam: (lam, 2.5), ModelKind.GDUSE: lambda lam: (1.5, lam),
+           ModelKind.DUSE: lambda lam: (lam,), ModelKind.KME: lambda lam: (lam,),
+           ModelKind.ED: lambda lam: (lam,)}
+# the moment routes as functions of (lam, r): the series and every kind's oracle
+MOMENT_ROUTES = [lambda lam, r: raw_moment_series(PgduseParams(lam, 2.5), r)] + [
+    lambda lam, r, kind=kind: raw_moment_quadrature(kind, AT_RATE[kind](lam), r)
+    for kind in ModelKind]
 
 
 @pytest.mark.parametrize("r", (1, 2, 4))
@@ -289,16 +297,16 @@ def test_moments_scale_by_a_power_of_the_rate(r):
     # E[X**r] at lam is the unit-rate moment times lam**-r: within 2 ulps
     # where that is a normal double, exact where it is subnormal (r = 2 at
     # lam = 1e160) or underflows to 0, and a DomainError where it overflows
-    unit = raw_moment_series(PgduseParams(1.0, 2.5), r)
-    with mpmath.workdps(40):
-        for lam in RATES + (1e160,):
-            want = mpmath.mpf(unit) * mpmath.mpf(lam) ** -r
-            if want > sys.float_info.max:
-                with pytest.raises(DomainError):
-                    raw_moment_series(PgduseParams(lam, 2.5), r)
-            else:
-                value = raw_moment_series(PgduseParams(lam, 2.5), r)
-                assert value == pytest.approx(float(want), rel=4.5e-16, abs=0.0)
+    for route in MOMENT_ROUTES:
+        unit = route(1.0, r)
+        with mpmath.workdps(40):
+            for lam in RATES + (1e160,):
+                want = mpmath.mpf(unit) * mpmath.mpf(lam) ** -r
+                if want > sys.float_info.max:
+                    with pytest.raises(DomainError):
+                        route(lam, r)
+                else:
+                    assert route(lam, r) == pytest.approx(float(want), rel=4.5e-16, abs=0.0)
 
 
 def test_variance_positive_on_grid():
@@ -477,9 +485,11 @@ def test_cgf_is_log_of_cf():
 
 
 # t/lambda of the mgf, and of the cf and cgf: both signs, the tiny ratio of
-# an O(1) t at a huge rate, and 0
+# an O(1) t at a huge rate, and 0.  The cf oracle takes three, as each
+# call runs four QUADPACK passes
 SCALE_FAMILY = {mgf: (-2.0, -1e-250, 0.0, 0.3, 0.9), cf: (-3.0, 1e-250, 0.5, 3.0),
-                cgf: (-3.0, 1e-250, 0.5, 3.0)}
+                cgf: (-3.0, 1e-250, 0.5, 3.0), mgf_quadrature: (-2.0, -1e-250, 0.0, 0.3, 0.9),
+                cf_quadrature: (-0.5, 1e-250, 3.0)}
 
 
 @pytest.mark.parametrize("route", SCALE_FAMILY, ids=lambda f: f.__name__)
@@ -528,12 +538,18 @@ def test_renyi_scale_shift():
 
 @pytest.mark.parametrize("theta, delta", [(0.5, 0.5), (2.5, 0.5), (2.5, 2.0), (7.5, 3.0)])
 def test_renyi_series_is_a_scale_family(theta, delta):
-    # the entropy at lam is the unit-rate entropy - log(lam), finite at
-    # every rate the double range holds
-    unit = renyi_entropy_series(PgduseParams(1.0, theta), delta)
-    for lam in RATES:
-        value = renyi_entropy_series(PgduseParams(lam, theta), delta)
-        assert abs(value - (unit - math.log(lam))) <= 1e-15 * max(1.0, abs(value))
+    # the entropy at lam is the unit-rate entropy - log(lam), bit for bit
+    # and finite at every rate the double range holds, by the series and
+    # by every kind's oracle (theta is GDUSE's alpha too)
+    at_rate = {**AT_RATE, ModelKind.PGDUSE: lambda lam: (lam, theta),
+               ModelKind.GDUSE: lambda lam: (theta, lam)}
+    routes = [lambda lam: renyi_entropy_series(PgduseParams(lam, theta), delta)] + [
+        lambda lam, kind=kind: renyi_entropy(kind, at_rate[kind](lam), delta) for kind in ModelKind]
+    for route in routes:
+        unit = route(1.0)
+        for lam in RATES:
+            value = route(lam)
+            assert value == unit - math.log(lam) and math.isfinite(value)
 
 
 @pytest.mark.parametrize("delta", (0.5, 2.0, 3.0))
@@ -654,7 +670,7 @@ def test_tanh_sinh_is_scipys_rule(kind, params):
     # scipy.integrate.tanhsinh, and its integral and error estimate within
     # 1e-14.  The Renyi order 2.5 is not integrable at the smaller shapes,
     # where both rules must fail alike
-    _, typed = pgduse.analytic._validated(kind, params)
+    _, typed = pgduse.analytic._at_unit_rate(kind, params)
     cuts = np.unique(pgduse.distributions.quantile(kind, typed, pgduse.analytic._CUT_LEVELS))
     upper = np.append(cuts[1:], np.inf)
     for log_integrand in _oracle_integrands(kind, typed):
@@ -673,9 +689,7 @@ def test_tanh_sinh_is_scipys_rule(kind, params):
     lambda: mgf_quadrature((1.0, 2.0), 1.0 - 1e-9),
     lambda: cf_quadrature((0.5, 0.05), 0.0),
     lambda: mgf_quadrature((0.5, 0.05), 0.1),
-    lambda: renyi_entropy(ModelKind.KME, (1e300,), 2.0),
-], ids=["renyi-pgduse", "renyi-gduse", "mgf-near-the-rate", "cf-at-0", "mgf-small-shape",
-        "renyi-kme-huge-rate"])
+], ids=["renyi-pgduse", "renyi-gduse", "mgf-near-the-rate", "cf-at-0", "mgf-small-shape"])
 def test_oracles_refuse_an_unconverged_integral(call):
     # each leaves an interval open that holds more than an ulp of the value
     with pytest.raises(QuadFailure):
@@ -844,9 +858,9 @@ CF_ONE_CALL_PER_NODE = {
     ((1.0, 2.5), -3.0): "(-0.08304019363559703+0.018460591584971927j)",
     ((1.0, 2.5), 0.3): "(0.7736892395915494+0.5295378881938194j)",
     ((1.0, 2.5), 30.0): "(-0.0001241234802916233-0.00012403864028481777j)",
-    ((2.0, 1e3), -3.0): "(0.06275693107349517+0.2842605671593229j)",
-    ((2.0, 1e3), 0.3): "(0.3646794892954379+0.9115606145042666j)",
-    ((2.0, 1e3), 30.0): "(-4.433072790352064e-10+3.9230188542127564e-10j)",
+    ((2.0, 1e3), -3.0): "(0.06275693107349525+0.2842605671593231j)",
+    ((2.0, 1e3), 0.3): "(0.36467948929543825+0.9115606145042672j)",
+    ((2.0, 1e3), 30.0): "(-4.433072841716142e-10+3.9230190623795735e-10j)",
 }
 
 

@@ -45,6 +45,18 @@ def test_ecdf_lawless_tied_point(lawless):
     assert view.value_at(68.64) == pytest.approx(14.0 / 23.0, abs=0)
 
 
+def test_ecdf_takes_real_points_only(lawless):
+    # a NaN point once read 1.0 and text was parsed as a number
+    view = ecdf(lawless)
+    assert math.isnan(view.value_at(math.nan))
+    values = view.value_at([math.nan, 68.64, math.inf])
+    assert math.isnan(values[0]) and values[1:].tolist() == [14.0 / 23.0, 1.0]
+    assert isinstance(view.value_at(68.64), float)
+    for x in (None, "50", ["50"], [1.0, None]):
+        with pytest.raises(DomainError):
+            view.value_at(x)
+
+
 # ----------------------------------------------------------------------
 # KS statistic
 # ----------------------------------------------------------------------
@@ -186,6 +198,9 @@ def test_ks_pvalue_edge_cases():
         ks_pvalue(0.5, 0)
     with pytest.raises(DomainError):
         ks_pvalue(0.5, 10, "bootstrap")
+    # the method is checked before the d = 0 shortcut
+    with pytest.raises(DomainError):
+        ks_pvalue(0.0, 5, "bootstrap")
 
 
 def test_sample_size_must_be_a_positive_integer():
@@ -199,6 +214,19 @@ def test_sample_size_must_be_a_positive_integer():
         assert ks_pvalue(0.11025, n) == ks_pvalue(0.11025, 23)
         assert ks_pvalue(0.11025, n, "exact") == ks_pvalue(0.11025, 23, "exact")
         assert bic(-113.003, 2, n) == bic(-113.003, 2, 23)
+
+
+def test_parameter_count_must_be_a_non_negative_integer():
+    # a text k once leaked a bare TypeError and a fractional one gave a value
+    for k in (2.5, math.nan, math.inf, -1, "2", None):
+        with pytest.raises(DomainError):
+            aic(-1.0, k)
+        with pytest.raises(DomainError):
+            bic(-1.0, k, 23)
+    for k in (2, np.int64(2), 2.0):
+        assert aic(-113.003, k) == aic(-113.003, 2) == 230.006
+        assert bic(-113.003, k, 23) == bic(-113.003, 2, 23)
+    assert aic(-1.0, 0) == 2.0
 
 
 def test_ks_pvalue_monotone_in_d():
