@@ -11,7 +11,6 @@ loads numpy only; each scipy module loads in the first call that needs it.
 __version__ = "0.1.0"
 
 from .analytic import (
-    SeriesOptions,
     cf,
     cf_quadrature,
     cgf,
@@ -58,7 +57,6 @@ from .errors import (
     SeriesDivergence,
 )
 from .estimation import (
-    FitOptions,
     FitResult,
     fit_ed_closed_form,
     fit_mle,

@@ -35,8 +35,10 @@ its terms reach 3e26 against a sum near 1e4.
 
 One generator, Knuth's recurrence for the exponential of a power series,
 gives both the c_n and the Bell polynomials.  A sum stops when its terms
-fall below the double's resolution past their peak, so the only option
-is the series term budget, ``SeriesOptions.max_terms``.  Every
+fall below the double's resolution past their peak near term
+(theta + 1)/2 (delta (theta + 1)/2 for the Renyi entropy), inside one
+window that its peak sizes, and no route takes an option.  A peak at or
+past term 1925 (theta >= 3849) raises :class:`SeriesDivergence`.  Every
 quadrature works to a relative error of 1e-10, and every series value is
 validated against quadrature in the test suite.
 """
@@ -48,7 +50,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,6 +60,7 @@ from .distributions import (
     PgduseParams,
     _coerce,
     _count,
+    _real,
     log_pdf,
     pdf,
     quantile,
@@ -66,7 +68,6 @@ from .distributions import (
 from .errors import DomainError, LogOfZero, QuadFailure, SeriesDivergence
 
 __all__ = [
-    "SeriesOptions",
     "raw_moment_series",
     "raw_moment_quadrature",
     "mgf",
@@ -88,20 +89,6 @@ _LOG_EM1 = math.log(_EM1)
 _EPS = float(np.finfo(float).eps)
 # a quadrature whose error estimate exceeds this times its value is refused
 _REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SeriesOptions:
-    """Term budget of the series expansions, an integer >= 1: a series that
-    needs more than ``max_terms`` terms raises :class:`SeriesDivergence`.
-    The series peak near term (theta+1)/2 (delta*(theta+1)/2 for the Renyi
-    entropy), so the default 200 serves theta up to about 160, and
-    delta*(theta+1) up to about 160 for the Renyi entropy."""
-
-    max_terms: int = 200
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_terms", _count("max_terms", self.max_terms, 1))
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +114,10 @@ _LOG_PHI_SLOPES = [(-1) ** (j + 1) * z / (2.0 * math.pi) ** (2 * j)
 # b * j * beta_j below this changes log P on [0, 1] by less than a
 # tenth of an ulp, and the next ones by 40 times less each
 _NEGLIGIBLE = 1e-17
+# the largest peak a series takes: at a >= 700 the Poisson weights' running
+# product (a/e)**n / n! reaches about e**(a/e) at n = a/e, which overflows a
+# double past a = 709.78 e = 1929
+_MAX_PEAK = 1925.0
 
 
 def _exp_series(slopes: list, count: int, first=1.0) -> list:
@@ -141,7 +132,7 @@ def _exp_series(slopes: list, count: int, first=1.0) -> list:
     return e
 
 
-def _u_series(a: float, b: float, weights: Callable, opts: SeriesOptions):
+def _u_series(a: float, b: float, weights: Callable):
     """sum_n c_n w_n, c_n the Taylor coefficients of P(u) / P(1), as a Python number.
 
     log P(u) = a*u + b * sum_j beta_j u**(2j), where the sum is the even
@@ -155,46 +146,48 @@ def _u_series(a: float, b: float, weights: Callable, opts: SeriesOptions):
     sum to 1 at u = 1 and none overflows at a large shape.
     ``weights(count)`` gives w_n for n < count, each at most w_0 in modulus.
 
-    Past the peak the sum stops at the first n where the pair
-    |t_n| + |t_(n-1)| is below eps times the sum and has fallen from the
-    pair before it by a ratio q that leaves the geometric rest,
-    pair * q / (1 - q), below eps times the sum too (Cauchy's estimate
-    |c_n| <= M(rho) / rho**n, rho < 2 pi).  A sum that needs more than
-    ``max_terms`` terms raises :class:`SeriesDivergence`.
+    The sum takes one window of a + 18 sqrt(a) + 22 terms, the peak and
+    the Poisson weights' spread with the geometric fall past them.  Past
+    the peak it stops at the first n where the pair |t_n| + |t_(n-1)| is
+    below eps times the sum and has fallen from the pair before it by a
+    ratio q that leaves the geometric rest, pair * q / (1 - q), below eps
+    times the sum too (Cauchy's estimate |c_n| <= M(rho) / rho**n,
+    rho < 2 pi).  A peak a >= ``_MAX_PEAK``, a sum whose every term
+    underflows, and one that does not stop inside its window raise
+    :class:`SeriesDivergence`.
     """
-    budget = opts.max_terms
-    if not a < budget:
-        raise SeriesDivergence(f"the series peaks near term {a:g}, past max_terms={budget}")
+    if not a < _MAX_PEAK:
+        raise SeriesDivergence(f"the series peaks near term {a:g}; from term {_MAX_PEAK:g} "
+                               "on its Poisson weights overflow a double")
     slopes = list(itertools.takewhile(lambda s: abs(s) >= _NEGLIGIBLE,
                                       (b * s for s in _LOG_PHI_SLOPES)))
     first = math.exp(b * (0.5 - _LOG_EM1))
     peak = math.ceil(a)
     # exp(-a) in one factor below 700, else spread over the steps up to the peak
     head = 1 if a < 700.0 else peak
-    count = min(budget, int(a + 18.0 * math.sqrt(a)) + 22)
-    while True:
-        even = np.zeros(count)
-        even[::2] = _exp_series(slopes, (count + 1) // 2, first)
-        steps = a / np.arange(1.0, count)
-        steps[:head] *= math.exp(-a / head)
-        spread = np.exp(-a / head * np.maximum(head - np.arange(count), 0))
-        poisson = spread * np.concatenate(([1.0], np.cumprod(steps)))
-        terms = np.convolve(even, poisson)[:count] * weights(count)
-        partial = np.cumsum(terms)
-        # in units of the largest term, so that no product below underflows
-        size = np.abs(terms)
-        unit = size.max()
-        pair = (size[1:] + size[:-1]) / unit      # pair[n - 1] = |t_n| + |t_(n-1)|
-        bound = _EPS / unit * np.abs(partial[3:])
-        # pair_n (pair_(n-2) + bound) <= bound pair_(n-2): pair_n / (1 - q) <= bound, n >= 3
-        done = pair[2:] * (pair[:-2] + bound) <= bound * pair[:-2]
-        done[:max(0, peak - 3)] = False
-        if done.any():
-            result = partial[3 + int(done.argmax())]
-            return complex(result) if np.iscomplexobj(result) else float(result)
-        if count == budget:
-            raise SeriesDivergence(f"series did not converge within max_terms={budget}")
-        count = min(budget, 2 * count)
+    count = int(a + 18.0 * math.sqrt(a)) + 22
+    even = np.zeros(count)
+    even[::2] = _exp_series(slopes, (count + 1) // 2, first)
+    steps = a / np.arange(1.0, count)
+    steps[:head] *= math.exp(-a / head)
+    spread = np.exp(-a / head * np.maximum(head - np.arange(count), 0))
+    poisson = spread * np.concatenate(([1.0], np.cumprod(steps)))
+    terms = np.convolve(even, poisson)[:count] * weights(count)
+    partial = np.cumsum(terms)
+    # in units of the largest term, so that no product below underflows
+    size = np.abs(terms)
+    unit = size.max()
+    if not unit > 0.0:
+        raise SeriesDivergence("every term of the series underflows")
+    pair = (size[1:] + size[:-1]) / unit      # pair[n - 1] = |t_n| + |t_(n-1)|
+    bound = _EPS / unit * np.abs(partial[3:])
+    # pair_n (pair_(n-2) + bound) <= bound pair_(n-2): pair_n / (1 - q) <= bound, n >= 3
+    done = pair[2:] * (pair[:-2] + bound) <= bound * pair[:-2]
+    done[:max(0, peak - 3)] = False
+    if not done.any():
+        raise SeriesDivergence(f"the series did not converge within its {count} terms")
+    result = partial[3 + int(done.argmax())]
+    return complex(result) if np.iscomplexobj(result) else float(result)
 
 
 def _log_gamma_shift(z, a):
@@ -259,10 +252,7 @@ def _at_unit_rate(kind: ModelKind, p):
 
 def _over_rate(t, rate: float, below: float = math.inf) -> float:
     """s = t/rate, the mgf or cf argument of Y: finite and below ``below``."""
-    try:
-        s = float(t) / rate
-    except (TypeError, ValueError):
-        raise DomainError(f"t must be a real number, got {t!r}") from None
+    s = _real("t", t) / rate
     if not -math.inf < s < below:
         raise DomainError(f"t/lambda must be finite and < {below:g}, got t={t!r}, lambda={rate!r}")
     return s
@@ -472,7 +462,7 @@ def _moment_weights(theta: float, r: int) -> Callable:
     return weights
 
 
-def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptions()) -> float:
+def raw_moment_series(p: PgduseParams, r: int) -> float:
     """r-th raw moment E[X**r] by term-by-term integration of the u-series.
 
     E[X**r] = lam**-r r! e/(e-1) sum_n c_n theta y_r(theta + n) / (theta + n),
@@ -483,13 +473,13 @@ def raw_moment_series(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptio
     Raises
     ------
     SeriesDivergence
-        If the sum needs more than ``max_terms`` terms.
+        If the series peaks at or past term 1925 (theta >= 3849).
     DomainError
         If the moment overflows a double.
     """
     r = _count("moment order", r, 1)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _moment_weights(theta, r), opts)
+    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _moment_weights(theta, r))
     # r! = factorial / 2**bits * 2**bits, the fraction rounded once
     factorial = math.factorial(r)
     bits = factorial.bit_length()
@@ -521,7 +511,7 @@ def _beta_ratios(first: float, step) -> Callable:
     return weights
 
 
-def _generating_series(theta: float, s, opts: SeriesOptions):
+def _generating_series(theta: float, s):
     """E[exp(s Y)], Y at unit rate, for s = t/lam from :func:`_over_rate`:
     e/(e-1) * theta B(theta, 1-s) * sum_n c_n w_n, w_n = B(theta+n, 1-s) / B(theta, 1-s).
     """
@@ -529,17 +519,17 @@ def _generating_series(theta: float, s, opts: SeriesOptions):
     log, exp = (cmath.log, cmath.exp) if isinstance(c, complex) else (math.log, math.exp)
     # theta B(theta, c) = Gamma(theta+1) Gamma(c) / Gamma(theta+c) = (theta + c) B(theta+1, c)
     log_ratio = log(theta + c) + _log_beta(theta + 1.0, c)
-    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _beta_ratios(theta, c), opts)
+    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _beta_ratios(theta, c))
     try:
         return math.e / _EM1 * exp(log_ratio) * series
     except OverflowError:
         raise DomainError(f"E[exp(t X)] overflows a double at t/lambda = {s!r}") from None
 
 
-def mgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> float:
+def mgf(p: PgduseParams, t: float) -> float:
     """Moment generating function E[exp(t X)]; finite only for t < lam."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    return _generating_series(theta, _over_rate(t, lam, 1.0), opts)
+    return _generating_series(theta, _over_rate(t, lam, 1.0))
 
 
 def mgf_quadrature(p: PgduseParams, t: float) -> float:
@@ -550,10 +540,10 @@ def mgf_quadrature(p: PgduseParams, t: float) -> float:
                      lambda y: s * y + log_pdf(ModelKind.PGDUSE, unit, y))
 
 
-def cf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> complex:
+def cf(p: PgduseParams, t: float) -> complex:
     """Characteristic function E[exp(i t X)]; the mgf series at i*t."""
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    return complex(_generating_series(theta, 1j * _over_rate(t, lam), opts))
+    return complex(_generating_series(theta, 1j * _over_rate(t, lam)))
 
 
 def cf_quadrature(p: PgduseParams, t: float) -> complex:
@@ -586,9 +576,9 @@ def cf_quadrature(p: PgduseParams, t: float) -> complex:
     return complex(re, im)
 
 
-def cgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> complex:
+def cgf(p: PgduseParams, t: float) -> complex:
     """Cumulant generating function: principal-branch log of the cf."""
-    value = cf(p, t, opts)
+    value = cf(p, t)
     if abs(value) < 1e-300:
         raise LogOfZero(f"cf({t:g}) is numerically zero; its log is undefined")
     return cmath.log(value)
@@ -600,10 +590,7 @@ def cgf(p: PgduseParams, t: float, opts: SeriesOptions = SeriesOptions()) -> com
 
 def _order(delta) -> float:
     """The Renyi order as a float, which must be positive, finite and != 1."""
-    try:
-        delta = float(delta)
-    except (TypeError, ValueError):
-        raise DomainError(f"Renyi order must be a real number, got {delta!r}") from None
+    delta = _real("Renyi order", delta)
     if not 0.0 < delta < math.inf or delta == 1.0:
         raise DomainError(f"Renyi order must be positive, finite and != 1, got {delta!r}")
     return delta
@@ -627,9 +614,7 @@ def renyi_entropy(kind: ModelKind, p, delta: float) -> float:
     return math.log(value) / (1.0 - delta) - math.log(rate)
 
 
-def renyi_entropy_series(
-    p: PgduseParams, delta: float, opts: SeriesOptions = SeriesOptions()
-) -> float:
+def renyi_entropy_series(p: PgduseParams, delta: float) -> float:
     """Series route for the PGDUSE Renyi entropy.
 
     pdf**delta in u is (theta/(e-1)**theta)**delta u**(alpha-1) P(u)**delta
@@ -653,7 +638,7 @@ def renyi_entropy_series(
         raise SeriesDivergence(
             f"pdf**{delta:g} is not integrable at 0: delta*(theta-1) + 1 = {alpha:g} <= 0"
         )
-    kernel = _u_series(delta * (theta + 1.0) / 2.0, power, _beta_ratios(alpha, delta), opts)
+    kernel = _u_series(delta * (theta + 1.0) / 2.0, power, _beta_ratios(alpha, delta))
     if not kernel > 0.0:
         raise SeriesDivergence("series for the entropy integral lost positivity")
     log_unit = (delta * (math.log(theta) + 1.0 - _LOG_EM1) + _log_beta(alpha, delta)
@@ -665,12 +650,12 @@ def renyi_entropy_series(
 # convenience summaries
 # ----------------------------------------------------------------------
 
-def mean(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
-    return raw_moment_series(p, 1, opts)
+def mean(p: PgduseParams) -> float:
+    return raw_moment_series(p, 1)
 
 
-def variance(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
-    return central_moment(p, 2, opts)
+def variance(p: PgduseParams) -> float:
+    return central_moment(p, 2)
 
 
 def _central(m: list, r: int) -> float:
@@ -692,21 +677,30 @@ def _central(m: list, r: int) -> float:
     return value
 
 
-def central_moment(p: PgduseParams, r: int, opts: SeriesOptions = SeriesOptions()) -> float:
+def central_moment(p: PgduseParams, r: int) -> float:
     """Central moment E[(X - E X)**r] for r in {1, 2, 3, 4}."""
     if r not in (1, 2, 3, 4):
         raise DomainError(f"central moments implemented for r in 1..4, got {r!r}")
     if r == 1:
         return 0.0
-    return _central([raw_moment_series(p, i, opts) for i in range(1, int(r) + 1)], r)
+    return _central([raw_moment_series(p, i) for i in range(1, int(r) + 1)], r)
 
 
-def skewness(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
-    m = [raw_moment_series(p, i, opts) for i in (1, 2, 3)]
-    return _central(m, 3) / _central(m, 2) ** 1.5
+def _standardized(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"the {name} overflows a double")
+    return value
 
 
-def kurtosis(p: PgduseParams, opts: SeriesOptions = SeriesOptions()) -> float:
-    """Plain (non-excess) kurtosis mu4 / mu2**2."""
-    m = [raw_moment_series(p, i, opts) for i in (1, 2, 3, 4)]
-    return _central(m, 4) / _central(m, 2) ** 2
+def skewness(p: PgduseParams) -> float:
+    """mu3 / mu2**1.5, as (mu3/mu2) / sqrt(mu2): mu2**1.5 underflows at tiny theta."""
+    m = [raw_moment_series(p, i) for i in (1, 2, 3)]
+    mu2 = _central(m, 2)
+    return _standardized(_central(m, 3) / mu2 / math.sqrt(mu2), "skewness")
+
+
+def kurtosis(p: PgduseParams) -> float:
+    """Plain (non-excess) kurtosis mu4 / mu2**2, as (mu4/mu2) / mu2."""
+    m = [raw_moment_series(p, i) for i in (1, 2, 3, 4)]
+    mu2 = _central(m, 2)
+    return _standardized(_central(m, 4) / mu2 / mu2, "kurtosis")

@@ -132,6 +132,16 @@ def _count(name: str, value, low: int) -> int:
     return count
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; text, None and complex numbers are refused."""
+    try:
+        if isinstance(value, (str, bytes, bytearray)):   # float() would parse them
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PgduseParams:
     """Rate lam (1/time) and shape theta (dimensionless), both > 0."""
@@ -523,9 +533,11 @@ class _Model:
 
     def hazard(self, params, x):
         # past rate*x = _TAIL and log(shape) + 2*_PLAIN the hazard is the
-        # rate to the last bit.  Holding x there keeps the rounding of the
-        # two logs from differing by up to ulp(rate*x), and gives the rate
-        # at x = inf.  Every model's shape is 1 + its edge exponent
+        # rate but for the rounding of log g - log(1 - G), two logs near
+        # -rate*x: up to ulp(rate*x) relative, 5.5e-14 for ED at rate 2.
+        # Holding x there keeps that error from growing with x, and gives
+        # the same value at x = inf.  Every model's shape is 1 + its edge
+        # exponent
         hold = max(_TAIL, math.log1p(max(self.edge_exponent(params), 0.0)) + 2.0 * _PLAIN)
         x = np.minimum(x, hold / params[self.rate_index])
         with np.errstate(over="ignore"):

@@ -18,7 +18,7 @@ class DomainError(PgduseError, ValueError):
 
 
 class SeriesDivergence(PgduseError, ArithmeticError):
-    """A series expansion did not converge within its term budget."""
+    """A series expansion peaks out of reach or did not converge within its window."""
 
 
 class QuadFailure(PgduseError, ArithmeticError):

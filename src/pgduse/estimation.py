@@ -18,8 +18,7 @@ parameters and its certificate from the memo entry at its last log-rate.
 Every fit is certified the same way: the score per log-parameter,
 p * grad(logL), has norm at most 1e-6 * n, and the profile curvature in
 the log-rate is negative.  Both are unchanged when the data are
-rescaled.  The tolerances are fixed; the one option is the iteration
-budget, ``FitOptions.max_iters``.
+rescaled.  The tolerances are fixed and the fit takes no options.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .distributions import (
     ParamVector,
     ScalarParam,
     _coerce,
-    _count,
     _log_f,
     _not_a_kind,
     _pg_log_ratio,
@@ -47,7 +45,6 @@ from .distributions import (
 from .errors import DomainError, EmptyDataset
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "log_likelihood",
     "score_pgduse",
@@ -66,20 +63,6 @@ _CURVATURE_STEP = 1e-4
 _GRAD_TOL = 1e-6
 # log-rate tolerance of the root-find
 _STEP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Iteration budget of the profile-likelihood root-find.
-
-    ``max_iters``, an integer >= 0, bounds the ``brentq`` iterations; a
-    fit that runs out of them is reported as not converged.
-    """
-
-    max_iters: int = 5000
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_iters", _count("max_iters", self.max_iters, 0))
 
 
 @dataclass(frozen=True)
@@ -211,7 +194,7 @@ def fit_ed_closed_form(data: Dataset) -> ScalarParam:
     return ScalarParam(data.n / data.total)
 
 
-def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> FitResult:
+def fit_mle(kind: ModelKind, data: Dataset) -> FitResult:
     """Maximize the log-likelihood of ``kind`` on ``data``.
 
     The fit runs over u = log(rate) of the profile log-likelihood, so the
@@ -220,10 +203,10 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
     of the profile slope and finds its root with one ``brentq``, whose
     iterations ``iterations`` counts (0 for ED).  Where the walk finds no
     sign change, the fit reports the last log-rate of the walk.
-    ``converged`` requires a bracketed root found within ``opts.max_iters``
-    (to a log-rate tolerance of 1e-10), a score per log-parameter with
-    norm at most 1e-6 * n (``grad_norm``, from the profile's score at the
-    result) and a negative profile curvature.
+    ``converged`` requires a bracketed root found within scipy's default
+    100 iterations (to a log-rate tolerance of 1e-10), a score per
+    log-parameter with norm at most 1e-6 * n (``grad_norm``, from the
+    profile's score at the result) and a negative profile curvature.
 
     Raises DomainError when n / sum(x) is not a positive finite double:
     the sample must then be rescaled.
@@ -260,10 +243,7 @@ def fit_mle(kind: ModelKind, data: Dataset, opts: FitOptions = FitOptions()) -> 
         u = a
         if found:
             from scipy.optimize import brentq
-            u, info = brentq(
-                slope, a, b, xtol=_STEP_TOL, maxiter=opts.max_iters,
-                full_output=True, disp=False,
-            )
+            u, info = brentq(slope, a, b, xtol=_STEP_TOL, full_output=True, disp=False)
             found, iterations = info.converged, info.iterations
 
     params_tuple, score = evaluate(u)

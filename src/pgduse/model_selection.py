@@ -16,9 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, _count, _split_input, _wrap_output, cdf
+from .distributions import Dataset, ModelKind, _count, _real, _split_input, _wrap_output, cdf
 from .errors import DomainError
-from .estimation import FitOptions, FitResult, fit_mle
+from .estimation import FitResult, fit_mle
 
 __all__ = [
     "EcdfView",
@@ -82,7 +82,7 @@ def ks_pvalue(d: float, n: int, method: str = "asymptotic") -> float:
     ``"asymptotic"`` (the Kolmogorov limit, ``scipy.special.kolmogorov``
     at sqrt(n) * d; the default, and what the reference analysis reports).
     """
-    d = float(d)
+    d = _real("KS statistic", d)
     if not 0.0 <= d <= 1.0:
         raise DomainError(f"KS statistic must lie in [0, 1], got {d!r}")
     n = _count("sample size", n, 1)
@@ -101,13 +101,13 @@ def ks_pvalue(d: float, n: int, method: str = "asymptotic") -> float:
 
 def aic(log_likelihood: float, k: int) -> float:
     """Akaike information criterion -2 logL + 2k."""
-    return -2.0 * log_likelihood + 2.0 * _count("parameter count", k, 0)
+    return -2.0 * _real("log-likelihood", log_likelihood) + 2.0 * _count("parameter count", k, 0)
 
 
 def bic(log_likelihood: float, k: int, n: int) -> float:
     """Bayesian information criterion -2 logL + k log n."""
     k = _count("parameter count", k, 0)
-    return -2.0 * log_likelihood + k * math.log(_count("sample size", n, 1))
+    return -2.0 * _real("log-likelihood", log_likelihood) + k * math.log(_count("sample size", n, 1))
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,9 @@ _BIC_FOOTNOTE = (
 )
 
 
-def _fit_row(
-    kind: ModelKind,
-    data: Dataset,
-    opts: FitOptions = FitOptions(),
-    pvalue_method: str = "asymptotic",
-) -> ComparisonRow:
+def _fit_row(kind: ModelKind, data: Dataset, pvalue_method: str = "asymptotic") -> ComparisonRow:
     """Fit one model and attach its criteria, KS distance and p-value."""
-    fit = fit_mle(kind, data, opts)
+    fit = fit_mle(kind, data)
     params = fit.params.as_tuple()
     d = ks_statistic(data, lambda x: cdf(kind, params, x))
     return ComparisonRow(
@@ -180,7 +175,6 @@ def _fit_row(
 def compare(
     data: Dataset,
     kinds: Sequence[ModelKind] = DEFAULT_MODEL_ORDER,
-    opts: FitOptions = FitOptions(),
     pvalue_method: str = "asymptotic",
 ) -> ComparisonTable:
     """Fit each model, attach criteria, and rank rows by ascending AIC.
@@ -190,7 +184,7 @@ def compare(
     kinds = tuple(kinds)
     if not kinds:
         raise DomainError("compare needs at least one model kind")
-    rows = sorted((_fit_row(kind, data, opts, pvalue_method) for kind in kinds),
+    rows = sorted((_fit_row(kind, data, pvalue_method) for kind in kinds),
                   key=lambda row: row.aic)
     footnotes = []
     if any(row.kind is ModelKind.DUSE for row in rows):

@@ -9,7 +9,6 @@ import pgduse.estimation
 from pgduse import (
     Dataset,
     DomainError,
-    FitOptions,
     ModelKind,
     PgduseParams,
     compare,
@@ -186,26 +185,6 @@ def test_fit_positivity_under_jitter():
 def test_single_observation_accepted():
     result = fit_mle(ModelKind.PGDUSE, Dataset([5.0]))
     assert all(v > 0.0 for v in result.params.as_tuple())
-
-
-def test_flagged_not_converged_when_budget_exhausted(lawless):
-    result = fit_mle(ModelKind.PGDUSE, lawless, FitOptions(max_iters=2))
-    assert not result.converged
-    assert all(v > 0.0 for v in result.params.as_tuple())  # still best-found
-
-
-@pytest.mark.parametrize("budget", (-1, 2.5, math.nan, None))
-def test_iteration_budget_is_a_nonnegative_integer(budget):
-    # refused at construction: inside the fit brentq would raise a bare
-    # ValueError or TypeError
-    with pytest.raises(DomainError):
-        FitOptions(max_iters=budget)
-
-
-def test_zero_iterations_is_a_fit_that_did_not_converge(lawless):
-    assert FitOptions(max_iters=np.int64(7)).max_iters == 7
-    result = fit_mle(ModelKind.PGDUSE, lawless, FitOptions(max_iters=0))
-    assert not result.converged
 
 
 def test_pgduse_dominates_duse(lawless):

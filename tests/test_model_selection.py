@@ -201,6 +201,11 @@ def test_ks_pvalue_edge_cases():
     # the method is checked before the d = 0 shortcut
     with pytest.raises(DomainError):
         ks_pvalue(0.0, 5, "bootstrap")
+    # d must be a real number: None and text once leaked TypeError and
+    # ValueError, and "0.1" was parsed
+    for d in (None, "x", "0.1", b"0.1", 0.1j):
+        with pytest.raises(DomainError):
+            ks_pvalue(d, 5)
 
 
 def test_sample_size_must_be_a_positive_integer():
@@ -227,6 +232,13 @@ def test_parameter_count_must_be_a_non_negative_integer():
         assert aic(-113.003, k) == aic(-113.003, 2) == 230.006
         assert bic(-113.003, k, 23) == bic(-113.003, 2, 23)
     assert aic(-1.0, 0) == 2.0
+    # so must the log-likelihood: None and "1" leaked a bare TypeError
+    for value in (None, "1", b"1", 1j):
+        with pytest.raises(DomainError):
+            aic(value, 2)
+        with pytest.raises(DomainError):
+            bic(value, 2, 5)
+    assert aic(np.float64(-113.003), 2) == 230.006
 
 
 def test_ks_pvalue_monotone_in_d():
