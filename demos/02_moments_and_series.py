@@ -32,10 +32,10 @@ for r in (1, 2, 3, 4):
     q = raw_moment_quadrature(ModelKind.PGDUSE, p, r)
     print(f"  r={r}:  series={s:.12f}   quadrature={q:.12f}   rel gap={abs(s - q) / q:.2e}")
 
-print("\nsummaries derived from the first four moments:")
+print("\nsummaries, each central moment one series about the mean at unit rate:")
 print(f"  mean      = {mean(p):.8f}")
 print(f"  variance  = {variance(p):.8f}")
-print(f"  skewness  = {skewness(p):.8f}")
+print(f"  skewness  = {skewness(p):.8f}   at lam = 1e200: {skewness(PgduseParams(1e200, 2.0)):.8f}")
 print(f"  kurtosis  = {kurtosis(p):.8f}")
 
 print("\nmoment generating function (must be 1 at t = 0, finite for t < lam):")

@@ -21,17 +21,20 @@ geometrically on [0, 1], and against u**(theta-1) each power of u
 integrates to a Beta function (DLMF 5.12.1):
 
 * mgf / cf:       E[exp(s Y)] = theta/(e-1)**theta sum_n c_n B(theta+n, 1-s)
-* raw moments:    E[Y**r] = theta/(e-1)**theta sum_n c_n I_r(theta+n),
-                  I_r(a) = integral of u**(a-1) (-log(1-u))**r = Y_r(kappa)/a
+* moments:        E[(Y-m)**r] = theta/(e-1)**theta sum_n c_n I_r(theta+n),
+                  I_r(a) = integral of u**(a-1) (-log(1-u) - m)**r = Y_r(kappa)/a
 * Renyi entropy:  the coefficients of P**delta against B(delta(theta-1)+1+n, delta)
 
-Y_r is the complete Bell polynomial of kappa_1 = digamma(a+1) - digamma(1)
+Y_r is the complete Bell polynomial of kappa_1 = digamma(a+1) - digamma(1) - m
 and kappa_k = (-1)**k [polygamma(k-1, 1) - polygamma(k-1, a+1)] (Comtet,
-Advanced Combinatorics, 1974, 3.3).  Every weight is positive (for the
-cf, bounded by a positive one), and for theta >= 1 so is every c_n, so no
-term cancels another's digits.  The paper's binomial double series of the
-same quantities alternates instead: for the mgf at t = 0.3 and theta = 50
-its terms reach 3e26 against a sum near 1e4.
+Advanced Combinatorics, 1974, 3.3).  A raw moment takes m = 0, and every
+central moment, so the variance, skewness and kurtosis, the unit-rate
+mean: one series per order, where raw moments would cancel.  The
+raw-moment, mgf and Renyi weights are positive (the cf's bounded by
+positive ones), and for theta >= 1 so is every c_n, so no term there
+cancels another's digits.  The paper's binomial double series alternates
+instead: for the mgf at t = 0.3 and theta = 50 its terms reach 3e26
+against a sum near 1e4.
 
 One generator, Knuth's recurrence for the exponential of a power series,
 gives both the c_n and the Bell polynomials.  A sum stops when its terms
@@ -144,7 +147,8 @@ def _u_series(a: float, b: float, weights: Callable):
     weights a**n exp(-a) / n! of exp(a*u), whose factor exp(-a) is spread
     over the first steps where it would underflow by itself.  So the c_n
     sum to 1 at u = 1 and none overflows at a large shape.
-    ``weights(count)`` gives w_n for n < count, each at most w_0 in modulus.
+    ``weights(count)`` gives w_n for n < count: bounded, and growing less
+    than geometrically, so that the terms keep the geometric fall of c_n.
 
     The sum takes one window of a + 18 sqrt(a) + 22 terms, the peak and
     the Poisson weights' spread with the geometric fall past them.  Past
@@ -435,10 +439,11 @@ def _checked_quad(func, lo, hi, weight=None, wvar=None):
 # raw moments
 # ----------------------------------------------------------------------
 
-def _moment_weights(theta: float, r: int) -> Callable:
-    """w_n = theta I_r(a) / r! = theta y_r(a) / a, a = theta + n, for
-    n < count: y_r = Y_r(kappa) / r! is the coefficient of x**r in
-    exp(sum_k q_k x**k), q_k = kappa_k / k! > 0, from :func:`_exp_series`."""
+def _moment_weights(theta: float, r: int, centre: float) -> Callable:
+    """w_n = theta I_r(a) / r! = theta y_r(a) / a, a = theta + n, n < count,
+    I_r(a) the integral of u**(a-1) (-log(1-u) - centre)**r: y_r is the
+    coefficient of x**r in exp(sum_k q_k x**k), q_k = kappa_k / k! but
+    q_1 = kappa_1 - centre, from :func:`_exp_series`."""
     def weights(count: int) -> np.ndarray:
         from scipy.special import binom, digamma, zeta
         k = np.arange(1.0, r + 1.0)
@@ -457,18 +462,28 @@ def _moment_weights(theta: float, r: int) -> Callable:
         # from a to a + 1 each k q_k grows by (a + 1)**-k
         steps = (theta + np.arange(1.0, count)) ** -k[:, None]
         slopes = np.cumsum(np.concatenate((slopes[:, None], steps), axis=1), axis=1)
+        slopes[0] -= centre
         bell = _exp_series(list(slopes), r + 1)[r]
         return theta / (theta + np.arange(count)) * bell
     return weights
+
+
+def _unit_moment(theta: float, r: int, centre: float = 0.0) -> tuple:
+    """E[(Y - centre)**r], Y at unit rate, as frexp's (fraction, exponent) of
+    r! e/(e-1) sum_n c_n w_n: r! = factorial / 2**bits * 2**bits, the fraction rounded once."""
+    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _moment_weights(theta, r, centre))
+    factorial = math.factorial(r)
+    bits = factorial.bit_length()
+    fraction, scale = math.frexp(math.e / _EM1 * series)
+    return fraction * (factorial / (1 << bits)), scale + bits
 
 
 def raw_moment_series(p: PgduseParams, r: int) -> float:
     """r-th raw moment E[X**r] by term-by-term integration of the u-series.
 
     E[X**r] = lam**-r r! e/(e-1) sum_n c_n theta y_r(theta + n) / (theta + n),
-    with c_n the coefficients of P(u)/P(1) and y_r = Y_r / r!.  The sum does
-    not depend on lam: r! and lam**-r are applied in base-2 log space
-    (:func:`_moment_at`), so the moment underflows to 0.0 or a subnormal.
+    the sum at unit rate (:func:`_unit_moment`), and r! and lam**-r applied in
+    base-2 log space (:func:`_moment_at`): it underflows to 0.0 or a subnormal.
 
     Raises
     ------
@@ -479,12 +494,7 @@ def raw_moment_series(p: PgduseParams, r: int) -> float:
     """
     r = _count("moment order", r, 1)
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _moment_weights(theta, r))
-    # r! = factorial / 2**bits * 2**bits, the fraction rounded once
-    factorial = math.factorial(r)
-    bits = factorial.bit_length()
-    fraction, scale = math.frexp(math.e / _EM1 * series)
-    return _moment_at(lam, r, fraction * (factorial / (1 << bits)), scale + bits)
+    return _moment_at(lam, r, *_unit_moment(theta, r))
 
 
 def raw_moment_quadrature(kind: ModelKind, p, r: int) -> float:
@@ -658,49 +668,40 @@ def variance(p: PgduseParams) -> float:
     return central_moment(p, 2)
 
 
-def _central(m: list, r: int) -> float:
-    """E[(X - E X)**r] for r in {2, 3, 4} from the raw moments m[i] = E X**(i+1).
-
-    An even central moment that does not come out positive has lost its
-    digits to the cancellation of the raw moments: it raises
-    :class:`SeriesDivergence` rather than give a negative variance or a
-    complex skewness.
-    """
-    if r == 2:
-        value = m[1] - m[0] ** 2
-    elif r == 3:
-        return m[2] - 3.0 * m[0] * m[1] + 2.0 * m[0] ** 3
-    else:
-        value = m[3] - 4.0 * m[0] * m[2] + 6.0 * m[0] ** 2 * m[1] - 3.0 * m[0] ** 4
-    if not value > 0.0:
-        raise SeriesDivergence(f"central moment {r} from the raw moments is {value!r}, not positive")
-    return value
+def _about_mean(theta: float, *orders: int) -> list:
+    """E[(Y - E Y)**r], Y at unit rate, as frexp pairs for each r in
+    ``orders``; an even one that is not positive raises SeriesDivergence
+    rather than give a negative variance or a complex skewness."""
+    centre = math.ldexp(*_unit_moment(theta, 1))
+    moments = [_unit_moment(theta, r, centre) for r in orders]
+    if any(r % 2 == 0 and not m[0] > 0.0 for r, m in zip(orders, moments)):
+        raise SeriesDivergence(f"an even central moment is not positive: {dict(zip(orders, moments))}")
+    return moments
 
 
 def central_moment(p: PgduseParams, r: int) -> float:
-    """Central moment E[(X - E X)**r] for r in {1, 2, 3, 4}."""
-    if r not in (1, 2, 3, 4):
-        raise DomainError(f"central moments implemented for r in 1..4, got {r!r}")
-    if r == 1:
-        return 0.0
-    return _central([raw_moment_series(p, i) for i in range(1, int(r) + 1)], r)
+    """Central moment E[(X - E X)**r] for any integer r >= 1: the unit-rate
+    moment about the mean, rescaled by :func:`_moment_at`."""
+    r = _count("moment order", r, 1)
+    lam, theta = _coerce(ModelKind.PGDUSE, p)
+    return 0.0 if r == 1 else _moment_at(lam, r, *_about_mean(theta, r)[0])
 
 
-def _standardized(value: float, name: str) -> float:
+def _standardized(p: PgduseParams, r: int, name: str) -> float:
+    """mu_r / mu2**(r/2) at unit rate, which the rate does not change, as
+    (mu_r/mu2) / mu2**(r/2 - 1): mu2**(r/2) underflows at a tiny theta."""
+    mu2, mu_r = (math.ldexp(*m) for m in _about_mean(_coerce(ModelKind.PGDUSE, p)[1], 2, r))
+    value = mu_r / mu2 / (math.sqrt(mu2) if r == 3 else mu2)
     if not math.isfinite(value):
         raise DomainError(f"the {name} overflows a double")
     return value
 
 
 def skewness(p: PgduseParams) -> float:
-    """mu3 / mu2**1.5, as (mu3/mu2) / sqrt(mu2): mu2**1.5 underflows at tiny theta."""
-    m = [raw_moment_series(p, i) for i in (1, 2, 3)]
-    mu2 = _central(m, 2)
-    return _standardized(_central(m, 3) / mu2 / math.sqrt(mu2), "skewness")
+    """Skewness mu3 / mu2**1.5."""
+    return _standardized(p, 3, "skewness")
 
 
 def kurtosis(p: PgduseParams) -> float:
-    """Plain (non-excess) kurtosis mu4 / mu2**2, as (mu4/mu2) / mu2."""
-    m = [raw_moment_series(p, i) for i in (1, 2, 3, 4)]
-    mu2 = _central(m, 2)
-    return _standardized(_central(m, 4) / mu2 / mu2, "kurtosis")
+    """Plain (non-excess) kurtosis mu4 / mu2**2."""
+    return _standardized(p, 4, "kurtosis")

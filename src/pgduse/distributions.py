@@ -112,10 +112,7 @@ class ModelKind(Enum):
 
 
 def _require_positive(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    value = _real(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise NonPositiveParameter(f"{name} must be positive and finite, got {value!r}")
     return value

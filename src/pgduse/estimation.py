@@ -83,10 +83,11 @@ class FitResult:
 
 
 def log_likelihood(kind: ModelKind, p, data: Dataset) -> float:
-    """Joint log-likelihood: the sum of per-observation log densities."""
+    """Joint log-likelihood: the sum of per-observation log densities, -inf past the doubles."""
     if data.n == 0:
         raise EmptyDataset("log-likelihood of an empty sample")
-    return float(np.sum(log_pdf(kind, p, data.observations)))
+    with np.errstate(over="ignore"):
+        return float(np.sum(log_pdf(kind, p, data.observations)))
 
 
 def _pg_d_lam(lam: float, theta: float, data: Dataset, parts) -> float:

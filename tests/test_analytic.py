@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -146,9 +147,19 @@ def _mp_renyi(lam, theta, delta):
         return mpmath.log(_mp_expectation(g, lam, theta, max(1, 1 / q))) / (1 - delta)
 
 
+@functools.cache
+def _mp_central(theta, r):
+    """E[(X - E X)**r] at unit rate, at 30 digits (r = 1 gives the mean)."""
+    if r == 1:
+        return _mp_expectation(lambda x: x, 1, theta)
+    m = _mp_central(theta, 1)
+    return _mp_expectation(lambda x: (x - m) ** r, 1, theta)
+
+
 # the values the binomial series got wrong: a mean off by 1e17, negative
 # second moments and variances, an mgf off by 35%, a cf off by 1.3e-2 and a
-# Renyi entropy where the oracle refuses
+# Renyi entropy where the oracle refuses; and the summaries at large shapes,
+# where raw moments near log(theta) cancelled to 1.2e-10 in the skewness
 REFERENCES = {
     "mean-100": (lambda: mean((1.0, 100.0)), lambda: _mp_expectation(lambda x: x, 1, 100)),
     "variance-50": (lambda: variance((1.0, 50.0)),
@@ -163,7 +174,16 @@ REFERENCES = {
     "cf-small-shape": (lambda: cf((0.5, 0.2), 30.0),
                        lambda: _mp_expectation(lambda x: mpmath.expj(30 * x), 0.5, 0.2)),
     "renyi-edge": (lambda: renyi_entropy_series((1.0, 0.5), 1.98), lambda: _mp_renyi(1, 0.5, 1.98)),
+    "central5-50": (lambda: central_moment((1.0, 50.0), 5), lambda: _mp_central(50, 5)),
 }
+for _theta in (1000, 3000):
+    REFERENCES.update({
+        f"variance-{_theta}": (lambda t=_theta: variance((1.0, t)), lambda t=_theta: _mp_central(t, 2)),
+        f"skewness-{_theta}": (lambda t=_theta: skewness((1.0, t)),
+                               lambda t=_theta: _mp_central(t, 3) / _mp_central(t, 2) ** 1.5),
+        f"kurtosis-{_theta}": (lambda t=_theta: kurtosis((1.0, t)),
+                               lambda t=_theta: _mp_central(t, 4) / _mp_central(t, 2) ** 2),
+    })
 
 
 @pytest.mark.parametrize("case", REFERENCES)
@@ -171,8 +191,9 @@ def test_series_match_30_digit_references(case):
     series, reference = REFERENCES[case]
     got, want = series(), complex(reference())
     assert type(got) is (complex if case.startswith("cf") else float)
-    # the variance is the second moment less the squared mean, 16 times larger
-    assert abs(got - want) <= (16 if case == "variance-50" else 1) * 1e-13 * abs(want)
+    # the u-series' error grows with the shape: the summaries at theta = 3000
+    # measure 3.4e-13 (variance) to 6.4e-12 (skewness)
+    assert abs(got - want) <= (1e-11 if case.endswith(("-1000", "-3000")) else 1e-13) * abs(want)
 
 
 def _mp_mgf_from_survival(t, theta):
@@ -288,21 +309,28 @@ MOMENT_ROUTES = [lambda lam, r: raw_moment_series(PgduseParams(lam, 2.5), r)] + 
     for kind in ModelKind]
 
 
-@pytest.mark.parametrize("r", (1, 2, 4))
+@pytest.mark.parametrize("r", (1, 2, 3, 4))
 def test_moments_scale_by_a_power_of_the_rate(r):
     # E[X**r] at lam is the unit-rate moment times lam**-r: within 2 ulps
     # where that is a normal double, exact where it is subnormal (r = 2 at
-    # lam = 1e160) or underflows to 0, and a DomainError where it overflows
-    for route in MOMENT_ROUTES:
+    # lam = 1e160) or underflows to 0, and a DomainError where it overflows.
+    # So are the central moments and the variance, each summed at unit rate
+    # about the mean, and skewness and kurtosis do not depend on lam at all
+    routes = MOMENT_ROUTES + [lambda lam, r: central_moment(PgduseParams(lam, 2.5), r)]
+    if r == 2:
+        routes.append(lambda lam, r: variance(PgduseParams(lam, 2.5)))
+    for route in routes:
         unit = route(1.0, r)
         with mpmath.workdps(40):
-            for lam in RATES + (1e160,):
+            for lam in RATES + (1e-100, 1e100, 1e150, 1e160):
                 want = mpmath.mpf(unit) * mpmath.mpf(lam) ** -r
                 if want > sys.float_info.max:
                     with pytest.raises(DomainError):
                         route(lam, r)
                 else:
                     assert route(lam, r) == pytest.approx(float(want), rel=4.5e-16, abs=0.0)
+    for summary in (skewness, kurtosis):
+        assert {summary((lam, 2.5)) for lam in RATES + (1e-100, 1e100, 1e150)} == {summary((1.0, 2.5))}
 
 
 def test_variance_positive_on_grid():
@@ -741,25 +769,32 @@ def test_central_moment_identities():
     assert central_moment(p, 1) == 0.0
     assert central_moment(p, 2) == pytest.approx(m2 - m1 ** 2, rel=1e-12)
     assert variance(p) == pytest.approx(central_moment(p, 2), rel=1e-12)
+    # any order: the binomial sum of raw moments, which cancels little at theta = 2
+    for r in (5, 6):
+        raw = [1.0] + [raw_moment_series(p, k) for k in range(1, r + 1)]
+        want = sum(math.comb(r, k) * raw[k] * (-m1) ** (r - k) for k in range(r + 1))
+        assert central_moment(p, r) == pytest.approx(want, rel=1e-11)
 
 
-@pytest.mark.parametrize("summary, series", [
-    (mean, 1), (variance, 2), (skewness, 3), (kurtosis, 4),
+@pytest.mark.parametrize("summary, sums", [
+    (mean, 1), (variance, 2), (skewness, 3), (kurtosis, 3),
     (lambda p: central_moment(p, 1), 0),
-    (lambda p: central_moment(p, 3), 3),
-    (lambda p: central_moment(p, 4), 4),
+    (lambda p: central_moment(p, 3), 2),
+    (lambda p: central_moment(p, 4), 2),
 ], ids=["mean", "variance", "skewness", "kurtosis", "central1", "central3", "central4"])
-def test_summaries_sum_each_raw_moment_once(monkeypatch, summary, series):
-    orders = []
-    real = pgduse.analytic.raw_moment_series
+def test_summaries_sum_each_raw_moment_once(monkeypatch, summary, sums):
+    # one u-series for the mean and one about it per central order the
+    # summary needs: no raw moment beyond the first is summed
+    peaks = []
+    real = pgduse.analytic._u_series
 
-    def counting(p, r):
-        orders.append(r)
-        return real(p, r)
+    def counting(a, b, weights):
+        peaks.append(a)
+        return real(a, b, weights)
 
-    monkeypatch.setattr(pgduse.analytic, "raw_moment_series", counting)
+    monkeypatch.setattr(pgduse.analytic, "_u_series", counting)
     summary(PgduseParams(1.0, 2.5))
-    assert orders == list(range(1, series + 1))
+    assert len(peaks) == sums
 
 
 def test_skewness_and_kurtosis_are_floats_or_raise(monkeypatch):
@@ -768,9 +803,10 @@ def test_skewness_and_kurtosis_are_floats_or_raise(monkeypatch):
     p = PgduseParams(1.0, 50.0)
     for summary in (skewness, kurtosis):
         assert type(summary(p)) is float
-    moments = {1: 2.0, 2: 3.0, 3: 9.0, 4: 30.0}          # variance 3 - 2**2 = -1
-    monkeypatch.setattr(pgduse.analytic, "raw_moment_series", lambda p, r: moments[r])
-    for summary in (variance, skewness, kurtosis):
+    # every even central moment -1, as frexp's (fraction, exponent)
+    monkeypatch.setattr(pgduse.analytic, "_unit_moment",
+                        lambda theta, r, centre=0.0: (-0.5 if r % 2 == 0 else 0.5, 1))
+    for summary in (variance, skewness, kurtosis, lambda p: central_moment(p, 4)):
         with pytest.raises(SeriesDivergence):
             summary(p)
 
@@ -899,7 +935,8 @@ def test_one_float_at_a_huge_shape_warns_nothing(kind, params):
     lambda v: pgduse.OrderSpec(3, v),
     lambda v: raw_moment_series((1.0, 2.0), v),
     lambda v: raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), v),
-], ids=["sample_size", "order_n", "order_r", "moment_series", "moment_quadrature"])
+    lambda v: central_moment((1.0, 2.0), v),
+], ids=["sample_size", "order_n", "order_r", "moment_series", "moment_quadrature", "central_moment"])
 def test_budgets_and_sizes_are_integers(make):
     # refused up front: range() would raise a bare TypeError, int(nan) a
     # ValueError, and int(n) would draw fewer values than asked

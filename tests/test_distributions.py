@@ -68,6 +68,19 @@ def test_validate_params_rejects_nonpositive(raw):
         validate_params(ModelKind.ED, raw)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PgduseParams("1", "2"),
+    lambda: PgduseParams(b"1", 2),
+    lambda: ScalarParam(bytearray(b"3")),
+    lambda: distributions.GduseParams(np.str_("2"), 1),
+    lambda: validate_params(ModelKind.ED, ["3"]),
+], ids=["pgduse-str", "pgduse-bytes", "scalar-bytearray", "gduse-np-str", "validate-str"])
+def test_parameters_refuse_text(make):
+    # float() would parse each of these; every other scalar input refuses text too
+    with pytest.raises(DomainError):
+        make()
+
+
 @pytest.mark.parametrize(
     "kind,raw",
     [

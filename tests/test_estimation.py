@@ -50,6 +50,10 @@ def test_log_likelihood_is_sum_of_log_pdf(lawless):
     assert log_likelihood(ModelKind.PGDUSE, p, lawless) == pytest.approx(
         float(np.sum(log_pdf(ModelKind.PGDUSE, p, lawless.observations))), rel=1e-15
     )
+    # a sum past the largest double is -inf, without numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_likelihood(ModelKind.ED, (1,), Dataset([1e308, 1e308])) == -math.inf
 
 
 # ----------------------------------------------------------------------
