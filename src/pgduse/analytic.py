@@ -8,10 +8,13 @@ rate the double range holds.  Each quantity comes in two independent routes:
 * a series route that integrates a power series of the density in
   u = 1 - exp(-y) term by term, and
 * a quadrature route that integrates the density directly: one
-  tanh-sinh integral of a log-space integrand over the half-line, by
-  scipy's ``tanhsinh`` rule written here in numpy, its nodes passed to
-  ``log_pdf`` as one array per level, or for the cf QUADPACK's Fourier
-  weights, one float per distinct node, straight to the density kernel.
+  tanh-sinh integral of a log-space integrand over the half-line, on 30
+  mass-sized intervals, by scipy's ``tanhsinh`` rule written here in
+  numpy, its nodes passed to ``log_pdf`` as one array per level.  The cf
+  runs that rule on its head, up to the first quarter period, where cos
+  and sin keep their sign, and QUADPACK's Fourier weights only on the
+  oscillating tail, one float per distinct node, straight to the density
+  kernel.
 
 The series route.  With u = 1 - exp(-y) the cdf is
 ((e**u - 1)/(e - 1))**theta, and its density in u is
@@ -42,7 +45,8 @@ fall below the double's resolution past their peak near term
 (theta + 1)/2 (delta (theta + 1)/2 for the Renyi entropy), inside one
 window that its peak sizes, and no route takes an option.  A peak at or
 past term 1925 (theta >= 3849) raises :class:`SeriesDivergence`.  Every
-quadrature works to a relative error of 1e-10, and every series value is
+quadrature works to a relative error of 1e-10 (the cf's QUADPACK pieces
+to 1e-14 absolute, where that is looser), and every series value is
 validated against quadrature in the test suite.
 """
 
@@ -64,6 +68,7 @@ from .distributions import (
     _coerce,
     _count,
     _real,
+    cdf,
     log_pdf,
     pdf,
     quantile,
@@ -273,10 +278,17 @@ def _moment_at(rate: float, r: int, fraction: float, scale: int) -> float:
         raise DomainError(f"E[X**{r}] overflows a double at lambda = {rate!r}") from None
 
 
-# the cuts of ``_integral``: the quantiles at 0, 2**-k and 1 - 2**-k,
-# k = 50..1.  Each interval holds half the mass of its neighbour towards
-# the median, so the nodes follow the density into both tails
-_CUT_LEVELS = np.concatenate(([0.0], 2.0 ** -np.arange(50, 0, -1), 1.0 - 2.0 ** -np.arange(2, 51)))
+# the cuts of ``_integral``: the quantiles at 0, 2**-k and 1 - 2**-k for
+# the 15 k below, 30 intervals with the last out to +inf.  The mass of an
+# interval falls geometrically towards either tail, so the nodes follow the
+# density into both; k steps by one up to 5 and then by about a quarter of
+# itself, so that far out, where an interval holds little of the integral,
+# the intervals are few and wide
+_CUT_EXPONENTS = np.array([50, 40, 32, 26, 21, 17, 14, 11, 9, 7, 5, 4, 3, 2, 1])
+_CUT_LEVELS = np.concatenate(([0.0], 2.0 ** -_CUT_EXPONENTS, 1.0 - 2.0 ** -_CUT_EXPONENTS[-2::-1]))
+# the ends of the cf's QUADPACK pieces: every other upper cut level, from the
+# median to 1 - 2**-50
+_TAIL_LEVELS = _CUT_LEVELS[_CUT_LEVELS >= 0.5][::2]
 
 
 def _tanh_sinh_pairs():
@@ -396,20 +408,21 @@ def _tanh_sinh(func: Callable, a: np.ndarray, b: np.ndarray):
     return value, error, status
 
 
-def _integral(kind: ModelKind, typed, log_integrand: Callable) -> float:
-    """Integral of exp(log_integrand(x)) > 0 over the half-line, by tanh-sinh.
+def _integral(kind: ModelKind, typed, log_integrand: Callable, lo: float = 0.0,
+              hi: float = math.inf, extra=()) -> float:
+    """Integral of exp(log_integrand(x)) > 0 over [lo, hi], by tanh-sinh.
 
-    One :func:`_tanh_sinh` run covers the intervals between the cut
-    quantiles (merged where they round together, as the lower ones do at
-    small shapes) and out to +inf; the double-exponential map takes the
-    singularity at 0 and the infinite limit.  In log space exp(t*x) * pdf
-    never overflows.  An unconverged interval's error estimate bounds
-    nothing, so it may hold at most an ulp of the value, as tails that
-    underflow do.
+    One :func:`_tanh_sinh` run covers the intervals between lo, the cut
+    quantiles inside (lo, hi), the ``extra`` cuts and hi (merged where they
+    round together, as the lower quantiles do at small shapes); the
+    double-exponential map takes the singularity at 0 and an infinite hi.
+    In log space exp(t*x) * pdf never overflows.  An unconverged interval's
+    error estimate bounds nothing, so it may hold at most an ulp of the
+    value, as tails that underflow do.
     """
-    cuts = np.unique(quantile(kind, typed, _CUT_LEVELS))
-    integral, error, status = _tanh_sinh(lambda x: np.exp(log_integrand(x)), cuts,
-                                         np.append(cuts[1:], np.inf))
+    cuts = quantile(kind, typed, _CUT_LEVELS)
+    cuts = np.unique(np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], extra, [hi])))
+    integral, error, status = _tanh_sinh(lambda x: np.exp(log_integrand(x)), cuts[:-1], cuts[1:])
     value, abserr = float(np.sum(integral)), float(np.sum(error))
     stray = float(np.sum((integral + error)[status != 0]))
     if not (0.0 < value < math.inf and abserr <= _REL_TOL * value and stray <= _EPS * value):
@@ -418,14 +431,14 @@ def _integral(kind: ModelKind, typed, log_integrand: Callable) -> float:
     return value
 
 
-def _checked_quad(func, lo, hi, weight=None, wvar=None):
-    """QUADPACK's integral of ``func`` over [lo, hi], refused if QUADPACK
-    flags it (a full output past three items) or if it is not finite."""
+def _checked_quad(func, lo: float, hi: float, weight: str, wvar: float) -> float:
+    """QUADPACK's integral of func(y) * weight(wvar * y) over [lo, hi],
+    ``weight`` "cos" or "sin", to 1e-14 absolute or ``_REL_TOL`` relative;
+    refused if QUADPACK flags it (a full output past three items) or if it
+    is not finite."""
     from scipy.integrate import quad
-    kwargs = dict(epsabs=1e-300, epsrel=_REL_TOL, limit=2000, full_output=1)
-    if weight is not None:
-        kwargs.update(weight=weight, wvar=wvar, epsabs=1e-14)
-    result = quad(func, lo, hi, **kwargs)
+    result = quad(func, lo, hi, weight=weight, wvar=wvar, epsabs=1e-14, epsrel=_REL_TOL,
+                  limit=2000, full_output=1)
     value = result[0]
     if len(result) > 3 or not math.isfinite(value):
         raise QuadFailure(
@@ -524,16 +537,23 @@ def _beta_ratios(first: float, step) -> Callable:
 def _generating_series(theta: float, s):
     """E[exp(s Y)], Y at unit rate, for s = t/lam from :func:`_over_rate`:
     e/(e-1) * theta B(theta, 1-s) * sum_n c_n w_n, w_n = B(theta+n, 1-s) / B(theta, 1-s).
+
+    Where theta B(theta, 1-s) underflows, the value is 0 without the sum:
+    Re(1 - s) > 0, so every |w_n| <= 1, and sum_n |c_n| is 1 for
+    theta >= 1 and O(1) below.
     """
     c = 1.0 - s
     log, exp = (cmath.log, cmath.exp) if isinstance(c, complex) else (math.log, math.exp)
     # theta B(theta, c) = Gamma(theta+1) Gamma(c) / Gamma(theta+c) = (theta + c) B(theta+1, c)
     log_ratio = log(theta + c) + _log_beta(theta + 1.0, c)
-    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _beta_ratios(theta, c))
     try:
-        return math.e / _EM1 * exp(log_ratio) * series
+        ratio = exp(log_ratio)
     except OverflowError:
         raise DomainError(f"E[exp(t X)] overflows a double at t/lambda = {s!r}") from None
+    if ratio == 0.0:
+        return 0j if isinstance(c, complex) else 0.0
+    series = _u_series((theta + 1.0) / 2.0, theta - 1.0, _beta_ratios(theta, c))
+    return math.e / _EM1 * ratio * series
 
 
 def mgf(p: PgduseParams, t: float) -> float:
@@ -557,33 +577,55 @@ def cf(p: PgduseParams, t: float) -> complex:
 
 
 def cf_quadrature(p: PgduseParams, t: float) -> complex:
-    """Oscillatory-quadrature oracle for :func:`cf`: E[exp(i s Y)], s = t/lam.
+    """Quadrature oracle for :func:`cf`: E[exp(i s Y)], s = t/lam.
 
-    At s = 0 it is the integral of the density.  Otherwise, since
-    tanh-sinh cannot certify a Fourier integral at large |s|, it uses the
-    QUADPACK cosine/sine weights on the bulk of the support; an initial
-    plain slice absorbs the density singularity at 0 (theta < 1).  A piece
-    that QUADPACK flags raises :class:`QuadFailure`.  The cos and sin
-    passes over each piece place most nodes at the same y, so the density
-    is cached for the duration of one call: each distinct node costs one
-    ``pdf`` call, and the values are those of one call per node.
+    At s = 0 it is the integral of the density.  Otherwise the support
+    splits at the first quarter period, split = min(pi/(2|s|), top), with
+    top the quantile at 1 - 2**-50 plus 10 (the mass past it is about
+    4e-20).
+
+    * The head [0, split], where cos(s y) and sin(|s| y) are both >= 0:
+      below x0 = split * 2**-1000 the cos part is the mass cdf(x0) and the
+      sin part 0, each off by at most |s| x0 cdf(x0), below an ulp; on
+      [x0, split] each part is one positive tanh-sinh integral of
+      :func:`_integral`, cut at the cut quantiles inside and at
+      split * 2**-k, k = 1..8.  Where cdf(split) underflows there is no
+      head.
+    * The tail [split, top], where they oscillate: QUADPACK's cosine and
+      sine weights (QAWO) on pieces that end at every other upper cut
+      quantile.  A piece that QUADPACK flags raises :class:`QuadFailure`.
+      The cos and sin passes place most nodes at the same y, so the
+      density is cached for the duration of one call: each distinct node
+      costs one scalar ``pdf`` call, and the values are those of one call
+      per node.
     """
-    rate, unit = _at_unit_rate(ModelKind.PGDUSE, p)
+    kind = ModelKind.PGDUSE
+    rate, unit = _at_unit_rate(kind, p)
     s = _over_rate(t, rate)
     if s == 0.0:
-        return complex(_integral(ModelKind.PGDUSE, unit,
-                                 lambda y: log_pdf(ModelKind.PGDUSE, unit, y)))
+        return complex(_integral(kind, unit, lambda y: log_pdf(kind, unit, y)))
+    ends = quantile(kind, unit, _TAIL_LEVELS)
+    top = float(ends[-1]) + 10.0
+    w = abs(s)
+    split = min(math.pi / 2.0 / w, top)
+    x0 = math.ldexp(split, -1000)
+    re = im = 0.0
+    below, head = cdf(kind, unit, np.array([x0, split]))
+    if head > 0.0:
+        cuts = split * 2.0 ** -np.arange(1.0, 9.0)
+        re = float(below) + _integral(
+            kind, unit, lambda y: np.log(np.cos(w * y)) + log_pdf(kind, unit, y), x0, split, cuts)
+        im = _integral(
+            kind, unit, lambda y: np.log(np.sin(w * y)) + log_pdf(kind, unit, y), x0, split, cuts)
     # a cache that outlived the call would serve a repeated (p, t) without
     # computing it
-    density = functools.cache(lambda y: pdf(ModelKind.PGDUSE, unit, y))
-    # the cutoff: the far quantile plus an exponential-decay margin
-    top = float(quantile(ModelKind.PGDUSE, unit, 1.0 - 1e-13)) + 45.0
-    split = min(0.05 / abs(s), top / 8.0)
-    re = _checked_quad(lambda y: math.cos(s * y) * density(y), 0.0, split)
-    im = _checked_quad(lambda y: math.sin(s * y) * density(y), 0.0, split)
-    re += _checked_quad(density, split, top, weight="cos", wvar=s)
-    im += _checked_quad(density, split, top, weight="sin", wvar=s)
-    return complex(re, im)
+    density = functools.cache(lambda y: pdf(kind, unit, y))
+    edges = np.concatenate(([split], ends[ends > split], [top]))
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        if lo < hi:
+            re += _checked_quad(density, lo, hi, "cos", w)
+            im += _checked_quad(density, lo, hi, "sin", w)
+    return complex(re, im if s > 0.0 else -im)
 
 
 def cgf(p: PgduseParams, t: float) -> complex:

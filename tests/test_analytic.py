@@ -494,6 +494,81 @@ def test_cf_against_oscillatory_quadrature():
     assert value.imag == pytest.approx(oracle.imag, abs=1e-6)
 
 
+@functools.cache
+def _mp_cf(lam, theta, t):
+    return complex(_mp_expectation(lambda x: mpmath.expj(t * x), lam, theta))
+
+
+CF_REFERENCE_POINTS = [((1.0, theta), t) for theta in (1e-3, 0.05, 0.2, 0.5, 2.5, 20.0)
+                       for t in (-3.0, 0.3, 0.75, 5.0, 30.0)]
+CF_REFERENCE_POINTS += [((0.5, 0.2), 30.0), ((2.0, 1e3), 3.0), ((2.0, 1e3), -3.0)]
+
+
+@pytest.mark.parametrize("params, t", CF_REFERENCE_POINTS, ids=str)
+def test_cf_quadrature_matches_30_digit_references(params, t):
+    # the tanh-sinh head and the QUADPACK tail together, from a tiny shape,
+    # where the mass below x0 is most of the value, to a large one; the
+    # worst measures 5.6e-12, at (1, 0.2) and t = 0.3
+    want = _mp_cf(*params, t)
+    assert abs(cf_quadrature(params, t) - want) <= 1e-11 * max(abs(want), 1e-4)
+
+
+def test_cf_quadrature_skips_a_head_without_mass(monkeypatch):
+    # at theta = 1e6 and t = 1 the cdf underflows to 0 at the quarter
+    # period, so no tanh-sinh integral runs and QUADPACK takes it all
+    runs = []
+    real = pgduse.analytic._tanh_sinh
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pgduse.analytic, "_tanh_sinh", counting)
+    want = _mp_cf(1.0, 1e6, 1.0)
+    assert abs(cf_quadrature((1.0, 1e6), 1.0) - want) <= 1e-11 * abs(want)
+    assert runs == []
+
+
+@pytest.mark.parametrize("t", (1e-300, -1e-300, 5e-324))
+def test_cf_quadrature_without_a_tail(monkeypatch, t):
+    # the quarter period lies past the cutoff, so the head is the whole
+    # integral and no QUADPACK node evaluates the density: cf = 1 + i t E[Y]
+    # but for an ulp
+    nodes = []
+    real_pdf = pgduse.analytic.pdf
+    monkeypatch.setattr(pgduse.analytic, "pdf", lambda *args: nodes.append(args) or real_pdf(*args))
+    value = cf_quadrature((1.0, 2.5), t)
+    assert nodes == []
+    assert abs(value.real - 1.0) <= 2.3e-16
+    want = t * mean((1.0, 2.5))
+    assert abs(value.imag - want) <= 1e-10 * abs(want) + 5e-324
+
+
+def test_cf_quadrature_at_a_high_frequency():
+    # at t = 200 the quarter period is 0.008 and most oscillations are
+    # QUADPACK's; the series is the reference, as the 30-digit integral
+    # loses digits there
+    value, want = cf_quadrature((1.0, 2.5), 200.0), cf((1.0, 2.5), 200.0)
+    assert abs(value - want) <= 1e-11 * max(abs(want), 1e-4)
+
+
+@pytest.mark.parametrize("t", (0.3, 30.0))
+def test_cf_quadrature_at_a_tiny_shape_takes_the_mass_below_x0(monkeypatch, t):
+    # at theta = 1e-3 about half the mass lies below x0 = split * 2**-1000,
+    # which the oracle takes as cdf(x0) rather than integrate
+    masses = []
+    real_cdf = pgduse.analytic.cdf
+
+    def recording(*args):
+        masses.append(real_cdf(*args))
+        return masses[-1]
+
+    monkeypatch.setattr(pgduse.analytic, "cdf", recording)
+    want = _mp_cf(1.0, 1e-3, t)
+    assert abs(cf_quadrature((1.0, 1e-3), t) - want) <= 1e-11 * abs(want)
+    assert len(masses) == 1 and masses[0][0] > 0.4
+
+
 def test_cf_modulus_bounded():
     for lam in GRID_LAMBDAS:
         for theta in GRID_THETAS:
@@ -509,7 +584,7 @@ def test_cgf_is_log_of_cf():
 
 # t/lambda of the mgf, and of the cf and cgf: both signs, the tiny ratio of
 # an O(1) t at a huge rate, and 0.  The cf oracle takes three, as each
-# call runs four QUADPACK passes
+# call runs a tanh-sinh head and a QUADPACK tail
 SCALE_FAMILY = {mgf: (-2.0, -1e-250, 0.0, 0.3, 0.9), cf: (-3.0, 1e-250, 0.5, 3.0),
                 cgf: (-3.0, 1e-250, 0.5, 3.0), mgf_quadrature: (-2.0, -1e-250, 0.0, 0.3, 0.9),
                 cf_quadrature: (-0.5, 1e-250, 3.0)}
@@ -823,9 +898,10 @@ def test_skewness_kurtosis_against_sample():
 
 def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
     # every route validates the parameters once and hands the typed
-    # vector to each node.  The cf's nodes are single floats on the
-    # support, which pdf must take straight to the kernel; the tanh-sinh
-    # routes pass whole arrays of nodes through the masked path
+    # vector to each node.  The tanh-sinh integrals, the cf's head among
+    # them, pass whole arrays of nodes through the masked path; the cf's
+    # QUADPACK tail nodes are single floats on the support, which pdf must
+    # take straight to the kernel
     validated = []
     real_validate = pgduse.distributions.validate_params
 
@@ -833,20 +909,12 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
         validated.append(kind)
         return real_validate(kind, raw)
 
-    real_on_support = pgduse.distributions._on_support
-    cutoff_quantile = pgduse.distributions._MODELS[ModelKind.PGDUSE].quantile
-
-    def refuse(kernel, *args):
-        # the cf's one quantile call, for its cutoff, is not a node
-        if kernel is not cutoff_quantile:
-            raise AssertionError("a quadrature node went through the masked array path")
-        return real_on_support(kernel, *args)
-
     monkeypatch.setattr(pgduse.distributions, "validate_params", counting_validate)
     routes = [
         lambda: raw_moment_quadrature(ModelKind.PGDUSE, (1.0, 2.0), 2),
         lambda: mgf_quadrature((1.0, 2.0), 0.5),
         lambda: cf_quadrature((1.0, 2.0), 0.0),
+        lambda: cf_quadrature((1.0, 2.0), 1.0),
         lambda: renyi_entropy(ModelKind.PGDUSE, (1.0, 2.0), 2.0),
     ]
     for kind, params in ((ModelKind.GDUSE, (2.0, 1.0)), (ModelKind.KME, (1.0,))):
@@ -856,10 +924,29 @@ def test_quadrature_validates_once_and_skips_the_masks(monkeypatch):
         validated.clear()
         assert math.isfinite(abs(route()))
         assert len(validated) == 1
-    monkeypatch.setattr(pgduse.distributions, "_on_support", refuse)
-    validated.clear()
+
+    model = pgduse.distributions._MODELS[ModelKind.PGDUSE]
+    real_on_support = pgduse.distributions._on_support
+    masked = []
+
+    def recording(kernel, params, arr, *rest):
+        masked.append((kernel, arr.size))
+        return real_on_support(kernel, params, arr, *rest)
+
+    real_pdf = pgduse.analytic.pdf
+    tail = []
+
+    def counting_pdf(kind, typed, x):
+        tail.append(x)
+        return real_pdf(kind, typed, x)
+
+    monkeypatch.setattr(pgduse.distributions, "_on_support", recording)
+    monkeypatch.setattr(pgduse.analytic, "pdf", counting_pdf)
     assert math.isfinite(abs(cf_quadrature((1.0, 2.0), 1.0)))
-    assert len(validated) == 1
+    assert tail and all(type(x) is float and x > 0.0 for x in tail)
+    assert all(kernel != model.pdf for kernel, _ in masked)
+    head = [size for kernel, size in masked if kernel == model.log_pdf]
+    assert len(head) >= 2 and min(head) > 1
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -882,25 +969,28 @@ def test_one_float_matches_the_array_path(kind, params):
             assert one == arr or (math.isnan(one) and math.isnan(arr)), (fn.__name__, x)
 
 
-# cf_quadrature with one pdf call per QUADPACK node and no cache
+# cf_quadrature with one pdf call per QUADPACK node and no cache; after each
+# value, its error and that of the QUADPACK-only oracle before it, against
+# 30-digit mpmath, relative to max(|cf|, 1e-4)
 CF_ONE_CALL_PER_NODE = {
-    ((1.0, 0.05), -3.0): "(0.8958859723319099-0.06996247842603477j)",
-    ((1.0, 0.05), 0.3): "(0.992729080282948+0.029741979946006757j)",
-    ((1.0, 0.05), 30.0): "(0.7968836180730205+0.06271569341066391j)",
-    ((1.0, 2.5), -3.0): "(-0.08304019363559703+0.018460591584971927j)",
-    ((1.0, 2.5), 0.3): "(0.7736892395915494+0.5295378881938194j)",
-    ((1.0, 2.5), 30.0): "(-0.0001241234802916233-0.00012403864028481777j)",
-    ((2.0, 1e3), -3.0): "(0.06275693107349525+0.2842605671593231j)",
-    ((2.0, 1e3), 0.3): "(0.36467948929543825+0.9115606145042672j)",
-    ((2.0, 1e3), 30.0): "(-4.433072841716142e-10+3.9230190623795735e-10j)",
+    ((1.0, 0.05), -3.0): "(0.895885972332813-0.06996247842598136j)",       # 8.9e-13, 1.2e-13
+    ((1.0, 0.05), 0.3): "(0.9927290802829603+0.029741979946025145j)",      # 7.3e-14, 5.8e-14
+    ((1.0, 0.05), 30.0): "(0.7968836180736204+0.06271569341066988j)",      # 8.8e-14, 6.6e-13
+    ((1.0, 2.5), -3.0): "(-0.08304019363559692+0.018460591584971892j)",    # 6.9e-16, 1.2e-15
+    ((1.0, 2.5), 0.3): "(0.773689239591549+0.5295378881938185j)",          # 9.0e-16, 1.7e-16
+    ((1.0, 2.5), 30.0): "(-0.00012412348029156622-0.00012403864028478408j)",  # 4.5e-13, 2.2e-13
+    ((2.0, 1e3), -3.0): "(0.06275693107349549+0.2842605671593236j)",       # 1.0e-15, 1.3e-15
+    ((2.0, 1e3), 0.3): "(0.36467948929543753+0.9115606145042662j)",        # 1.3e-15, 1.1e-16
+    ((2.0, 1e3), 30.0): "(-4.4330627536370324e-10+3.923007760113343e-10j)",  # 7.7e-12, 9.4e-12
 }
 
 
 @pytest.mark.parametrize("params, t", CF_ONE_CALL_PER_NODE)
 def test_cf_quadrature_evaluates_each_node_once(monkeypatch, params, t):
-    # the four QUADPACK passes share most nodes; each distinct node costs
-    # one pdf call, through the name the bench tracer wraps, and the values
-    # stay those of one call per node to the last bit
+    # the cos and sin QUADPACK passes over each tail piece share most
+    # nodes; each distinct node costs one pdf call, through the name the
+    # bench tracer wraps, and the values stay those of one call per node to
+    # the last bit
     nodes = []
     real_pdf = pgduse.analytic.pdf
 
