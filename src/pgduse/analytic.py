@@ -62,6 +62,8 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
+    _EM1,
+    _LOG_EM1,
     _MODELS,
     ModelKind,
     PgduseParams,
@@ -92,8 +94,6 @@ __all__ = [
     "kurtosis",
 ]
 
-_EM1 = math.e - 1.0
-_LOG_EM1 = math.log(_EM1)
 _EPS = float(np.finfo(float).eps)
 # a quadrature whose error estimate exceeds this times its value is refused
 _REL_TOL = 1e-10

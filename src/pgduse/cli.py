@@ -9,6 +9,7 @@ only when every requested fit converged and no error occurred
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -34,24 +35,21 @@ _EVAL_FUNCTIONS = {
 }
 
 
-def _table_num(value) -> str:
+def _cell(value, float_format) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return f"{value:.7g}"
+        return float_format(value)
     return str(value)
 
 
-def _full_num(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _output(path):
+    """The file at ``path``, opened for writing, or stdout when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _render_table(headers, rows, out, footnotes=()):
-    cells = [[_table_num(v) for v in row] for row in rows]
+    cells = [[_cell(v, "{:.7g}".format) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
     out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
@@ -65,14 +63,13 @@ def _render_csv(headers, rows, out, footnotes=()):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
     for row in rows:
-        writer.writerow([_full_num(v) for v in row])
+        writer.writerow([_cell(v, repr) for v in row])
     for note in footnotes:
         out.write(f"# {note}\n")
 
 
 def _emit(config, headers, rows, json_payload, footnotes=()):
-    out = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
-    try:
+    with _output(config.out) as out:
         if config.format == "json":
             json.dump(json_payload, out, indent=2)
             out.write("\n")
@@ -80,9 +77,6 @@ def _emit(config, headers, rows, json_payload, footnotes=()):
             _render_csv(headers, rows, out, footnotes)
         else:
             _render_table(headers, rows, out, footnotes)
-    finally:
-        if config.out:
-            out.close()
 
 
 def _parse_numbers(option: str, spec: str) -> list[float]:
@@ -177,13 +171,9 @@ def cmd_sample(config) -> int:
     kind = ModelKind.parse(config.model)
     params = _parse_params(kind, config.params)
     values = sample(kind, params, config.n, config.seed)
-    out = open(config.out, "w", encoding="utf-8") if config.out else sys.stdout
-    try:
+    with _output(config.out) as out:
         for v in values:
             out.write(repr(float(v)) + "\n")
-    finally:
-        if config.out:
-            out.close()
     return _EXIT_OK
 
 

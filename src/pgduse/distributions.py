@@ -198,10 +198,7 @@ def validate_params(kind: ModelKind, raw: Sequence[float]) -> ParamVector:
         If ``kind`` is not a ModelKind, or ``raw`` is not a sequence of
         real numbers.
     """
-    try:
-        model = _MODELS[kind]
-    except (KeyError, TypeError):
-        raise _not_a_kind(kind) from None
+    model = _model(kind)
     try:
         if isinstance(raw, (str, bytes, bytearray)):   # iterable, but as characters
             raise TypeError
@@ -215,17 +212,25 @@ def validate_params(kind: ModelKind, raw: Sequence[float]) -> ParamVector:
     return model.param_class(*raw)
 
 
-def _not_a_kind(kind) -> DomainError:
-    return DomainError(f"expected a ModelKind, got {kind!r}")
+def _model(kind: ModelKind) -> _Model:
+    """The record of ``kind``; DomainError if it is not a ModelKind."""
+    try:
+        return _MODELS[kind]
+    except (KeyError, TypeError):
+        raise DomainError(f"expected a ModelKind, got {kind!r}") from None
+
+
+def _dataset(data) -> Dataset:
+    """``data`` itself; DomainError if it is not a Dataset, such as a bare list."""
+    if not isinstance(data, Dataset):
+        raise DomainError(f"expected a Dataset, got {type(data).__name__}")
+    return data
 
 
 def _coerce(kind: ModelKind, p) -> tuple[float, ...]:
     """Accept either a typed parameter vector or a raw sequence."""
     if isinstance(p, (PgduseParams, GduseParams, ScalarParam)):
-        try:
-            expected = _MODELS[kind].param_class
-        except (KeyError, TypeError):
-            raise _not_a_kind(kind) from None
+        expected = _model(kind).param_class
         if not isinstance(p, expected):
             raise ArityMismatch(
                 f"{kind.value} expects {expected.__name__}, got {type(p).__name__}"
@@ -252,10 +257,8 @@ class Dataset:
     __slots__ = ("observations", "sorted_values", "n", "total")
 
     def __init__(self, observations: ArrayLike):
-        try:
-            obs = np.atleast_1d(np.asarray(observations, dtype=float)).copy()
-        except (TypeError, ValueError) as exc:
-            raise NonPositiveObservation(f"observations must be real numbers: {exc}") from None
+        obs = np.atleast_1d(_real_array(observations, NonPositiveObservation, "observations"))
+        obs = obs.astype(float)
         if obs.ndim != 1:
             raise NonPositiveObservation("observations must form a one-dimensional sample")
         if obs.size == 0:
@@ -352,16 +355,25 @@ def _pg_log_ratio(parts: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.where(t < 0.5, small, big)
 
 
-def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
-    # converting straight to float would turn None into NaN and parse text,
-    # so only bool, integer and float arrays go on; a float array is not copied
+def _real_array(x, error: type, what: str) -> np.ndarray:
+    """``x`` as an array of bool, integer or float dtype, else ``error``.
+
+    Converting straight to float would turn None into NaN, parse text,
+    drop imaginary parts and count datetimes in days, so every other
+    dtype is refused.  An array is not copied.
+    """
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"evaluation points must be real numbers: {exc}") from None
+        raise error(f"{what} must be real numbers: {exc}") from None
     if arr.dtype.kind not in "biuf":
-        raise DomainError(f"evaluation points must be real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+        raise error(f"{what} must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _split_input(x: ArrayLike) -> tuple[np.ndarray, bool]:
+    # a float array goes on uncopied
+    arr = _real_array(x, DomainError, "evaluation points").astype(float, copy=False)
     return np.atleast_1d(arr), arr.ndim == 0
 
 

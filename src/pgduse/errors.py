@@ -29,20 +29,20 @@ class LogOfZero(PgduseError, ArithmeticError):
     """Logarithm requested of a value indistinguishable from zero."""
 
 
-class ParseError(PgduseError, ValueError):
+class _LineError(PgduseError, ValueError):
+    """An input error that may carry the data file line it was found on."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
+
+
+class ParseError(_LineError):
     """A data file entry could not be parsed as a number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
 
-
-class NonPositiveObservation(PgduseError, ValueError):
-    """An observation was zero, negative, or non-finite."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
+class NonPositiveObservation(_LineError):
+    """An observation was zero, negative, non-finite, or not a real number."""
 
 
 class EmptyDataset(PgduseError, ValueError):

@@ -29,20 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _MODELS,
     Dataset,
     ModelKind,
     ParamVector,
     ScalarParam,
     _coerce,
+    _dataset,
     _log_f,
-    _not_a_kind,
+    _model,
     _pg_log_ratio,
     _pg_parts,
     log_pdf,
     validate_params,
 )
-from .errors import DomainError, EmptyDataset
+from .errors import DomainError
 
 __all__ = [
     "FitResult",
@@ -84,10 +84,8 @@ class FitResult:
 
 def log_likelihood(kind: ModelKind, p, data: Dataset) -> float:
     """Joint log-likelihood: the sum of per-observation log densities, -inf past the doubles."""
-    if data.n == 0:
-        raise EmptyDataset("log-likelihood of an empty sample")
     with np.errstate(over="ignore"):
-        return float(np.sum(log_pdf(kind, p, data.observations)))
+        return float(np.sum(log_pdf(kind, p, _dataset(data).observations)))
 
 
 def _pg_d_lam(lam: float, theta: float, data: Dataset, parts) -> float:
@@ -107,7 +105,7 @@ def score_pgduse(p, data: Dataset) -> np.ndarray:
     roundoff; its lambda component is the slope of the PGDUSE profile.
     """
     lam, theta = _coerce(ModelKind.PGDUSE, p)
-    parts = _pg_parts(lam, data.observations)
+    parts = _pg_parts(lam, _dataset(data).observations)
     d_theta = data.n / theta + np.sum(_pg_log_ratio(parts))
     return np.array([_pg_d_lam(lam, theta, data, parts), d_theta])
 
@@ -192,7 +190,7 @@ def _bracket(slope, u0: float) -> tuple[float, float, bool]:
 
 def fit_ed_closed_form(data: Dataset) -> ScalarParam:
     """Exact exponential MLE n / sum(x)."""
-    return ScalarParam(data.n / data.total)
+    return ScalarParam(_dataset(data).n / data.total)
 
 
 def fit_mle(kind: ModelKind, data: Dataset) -> FitResult:
@@ -212,16 +210,12 @@ def fit_mle(kind: ModelKind, data: Dataset) -> FitResult:
     Raises DomainError when n / sum(x) is not a positive finite double:
     the sample must then be rescaled.
     """
-    if data.n == 0:
-        raise EmptyDataset("cannot fit an empty sample")
-    rate = data.n / data.total
+    rate_index = _model(kind).rate_index
+    profile = _PROFILES[kind]
+    rate = _dataset(data).n / data.total
     if not 0.0 < rate < math.inf:
         raise DomainError(f"n / sum(x) = {rate!r} is not a finite positive rate; "
                           "rescale the sample")
-    try:
-        profile, rate_index = _PROFILES[kind], _MODELS[kind].rate_index
-    except (KeyError, TypeError):
-        raise _not_a_kind(kind) from None
     # (params, score) or None by log-rate, for this fit only
     memo: dict[float, tuple | None] = {}
 

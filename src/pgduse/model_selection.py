@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, _count, _real, _split_input, _wrap_output, cdf
+from .distributions import (Dataset, ModelKind, _count, _dataset, _real, _split_input,
+                            _wrap_output, cdf)
 from .errors import DomainError
 from .estimation import FitResult, fit_mle
 
@@ -33,13 +34,7 @@ __all__ = [
     "DEFAULT_MODEL_ORDER",
 ]
 
-DEFAULT_MODEL_ORDER = (
-    ModelKind.PGDUSE,
-    ModelKind.GDUSE,
-    ModelKind.DUSE,
-    ModelKind.KME,
-    ModelKind.ED,
-)
+DEFAULT_MODEL_ORDER = tuple(ModelKind)
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class EcdfView:
 
 def ecdf(data: Dataset) -> EcdfView:
     """Empirical distribution function of the sample."""
-    n = data.n
+    n = _dataset(data).n
     return EcdfView(points=data.sorted_values, steps=np.arange(1, n + 1) / n)
 
 
@@ -68,7 +63,7 @@ def ks_statistic(data: Dataset, model_cdf: Callable) -> float:
 
     D_n = max over sorted points of max(F(x_(i)) - (i-1)/n, i/n - F(x_(i))).
     """
-    xs = data.sorted_values
+    xs = _dataset(data).sorted_values
     n = data.n
     f = np.asarray(model_cdf(xs), dtype=float)
     i = np.arange(1, n + 1)
@@ -136,7 +131,6 @@ class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
     footnotes: tuple[str, ...]
     n: int
-    criterion: str = "aic"
 
     def best(self) -> ComparisonRow:
         return self.rows[0]

@@ -299,6 +299,15 @@ def test_plotdata_explicit_params(tmp_path, capsys):
     assert rows.shape == (32, 2)
 
 
+def test_plotdata_params_require_a_model(tmp_path, capsys):
+    prefix = tmp_path / "no_model"
+    code, out, err = run(capsys, "plotdata", "--data", "lawless", "--params", "1,2",
+                         "--out", str(prefix))
+    assert code == 1
+    assert err == "error: --params requires --model\n"
+    assert out == "" and not os.path.exists(f"{prefix}_density.tsv")
+
+
 # ----------------------------------------------------------------------
 # shared behaviour
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from functools import partial
 
 import mpmath
@@ -27,10 +28,13 @@ from pgduse import (
     ScalarParam,
     cdf,
     compare,
+    ecdf,
+    fit_ed_closed_form,
     fit_mle,
     hazard,
     ks_pvalue,
     ks_statistic,
+    log_likelihood,
     log_pdf,
     median,
     mgf,
@@ -94,6 +98,11 @@ def test_validate_params_arity(kind, raw):
         validate_params(kind, raw)
 
 
+def test_a_typed_vector_of_another_model_is_an_arity_mismatch():
+    with pytest.raises(ArityMismatch, match="gduse expects GduseParams, got PgduseParams"):
+        pdf(ModelKind.GDUSE, PgduseParams(1, 2), 1.0)
+
+
 _PG = ModelKind.PGDUSE
 
 
@@ -123,9 +132,9 @@ def test_non_numeric_input_is_a_library_error(call, error):
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("x", [
     [0.5, None], ["0.5", 2.0], np.array(["0.5"]), np.array([0.5], dtype=object),
-    [0.5j], [np.datetime64("2020-01-01")], 10 ** 400,
+    [0.5j], [np.datetime64("2020-01-01")], 10 ** 400, [[1.0], [1.0, 2.0]],
 ], ids=["none-inside", "text-inside", "text-array", "object-array", "complex",
-        "datetime", "huge-int"])
+        "datetime", "huge-int", "ragged"])
 def test_points_that_are_not_real_numbers_are_a_domain_error(fn, x):
     # none of these may become NaN, be parsed, or be read as a number
     with pytest.raises(DomainError):
@@ -166,9 +175,36 @@ def test_a_str_or_none_for_a_kind_or_spec_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    partial(fit_mle, ModelKind.ED, [1.0, 2.0]),
+    partial(log_likelihood, ModelKind.ED, (1.0,), [1.0, 2.0]),
+    partial(compare, [1.0, 2.0, 3.0]),
+    partial(ks_statistic, [1.0, 2.0], partial(cdf, ModelKind.ED, (1.0,))),
+    partial(ecdf, [1.0, 2.0]),
+    partial(score_pgduse, (1.0, 2.0), np.array([1.0, 2.0])),
+    partial(fit_ed_closed_form, (1.0, 2.0)),
+], ids=["fit", "log-likelihood", "compare", "ks", "ecdf", "score", "ed-closed-form"])
+def test_a_sample_that_is_not_a_dataset_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="expected a Dataset"):
+        call()
+
+
+@pytest.mark.parametrize("observations", [
+    "12", b"12", np.array(["1"]), np.array([1 + 2j]),
+    np.array(["2020-01-01"], dtype="datetime64[D]"),
+], ids=["str", "bytes", "text-array", "complex-array", "datetime-array"])
+def test_a_sample_must_be_real_numbers(observations):
+    # converting straight to float would parse the text, keep the real part
+    # (with a ComplexWarning) and count the days since 1970
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveObservation, match="observations must be real numbers"):
+            Dataset(observations)
+
+
 def test_dataset_invariants():
     d = Dataset([3.0, 1.0, 2.0])
-    assert d.n == 3
+    assert d.n == len(d) == 3
     assert d.total == 6.0
     assert list(d.sorted_values) == [1.0, 2.0, 3.0]
     assert list(d.observations) == [3.0, 1.0, 2.0]
@@ -178,6 +214,8 @@ def test_dataset_invariants():
         Dataset([1.0, -2.0])
     with pytest.raises(NonPositiveObservation):
         Dataset([1.0, float("nan")])
+    with pytest.raises(NonPositiveObservation, match="one-dimensional"):
+        Dataset([[1.0, 2.0]])
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,7 @@ def test_fit_ed_via_fit_mle(lawless):
 def test_fit_pgduse_reproduces_benchmark(lawless):
     result = fit_mle(ModelKind.PGDUSE, lawless)
     lam, theta = result.params.as_tuple()
+    assert result.param_dict() == {"lambda": lam, "theta": theta}
     assert result.converged
     assert lam == pytest.approx(0.03362141, abs=5e-5)
     assert theta == pytest.approx(3.80657627, abs=5e-3)
